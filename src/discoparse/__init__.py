@@ -4,7 +4,9 @@ The pipeline reads CoNLL-format syntax, matches discourse connectives
 against a lexicon mined from gold relations, filters matches with a
 usage classifier, labels Arg1/Arg2 spans by classifying and merging pruned
 constituents, annotates each relation with its connective's most frequent
-sense, and exports CoNLL-format JSON lines.
+sense, and exports CoNLL-format JSON lines. Each stage is exported on its
+own as well; the sense lookup, annotate_sense, lives beside the lexicon it
+reads.
 """
 
 from .argument_labeler import (ConstituentLabel, NodeFeatureVector,
@@ -15,17 +17,17 @@ from .connective_annotator import (ConnectiveCandidate,
                                    extract_connective_features,
                                    find_candidates)
 from .connective_lexicon import (ConnectiveLexicon, ConnectiveStats,
-                                 mine_lexicon, most_frequent_sense)
+                                 annotate_sense, mine_lexicon,
+                                 most_frequent_sense)
 from .corpus_io import (DiscourseRelation, Document, Sentence, Token,
                         export_relations, load_parses, load_relations)
 from .decision_tree import Branch, Instance, Leaf, gain_ratio, predict, train
 from .errors import DiscoParseError
 from .evaluation import PRF, score
 from .parse_tree import (ConstituentNode, exact_cover_chain, node_context,
-                         parse_ptb, path_to_root, render_path, self_cat)
+                         parse_ptb, path_to_root, render_path)
 from .pipeline import (ParserModel, load_model, parse_document, save_model,
                        train_model)
-from .sense_annotator import annotate_sense
 
 __version__ = "0.1.0"
 
@@ -40,5 +42,5 @@ __all__ = [
     "load_parses", "load_relations", "merge_arguments", "mine_lexicon",
     "most_frequent_sense", "node_context", "parse_document", "parse_ptb",
     "path_to_root", "predict", "prune_candidates", "render_path",
-    "save_model", "score", "self_cat", "train", "train_model",
+    "save_model", "score", "train", "train_model",
 ]

@@ -10,12 +10,12 @@ previous sentence the relation is dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 
-from .connective_annotator import extract_connective_features
 from .decision_tree import predict
 from .errors import PredictionError
-from .parse_tree import exact_cover_chain, node_context, path_to_root, render_path
+from .parse_tree import node_context, path_to_root, render_path
 
 POSITION_LEFT = "left"
 POSITION_RIGHT = "right"
@@ -40,7 +40,7 @@ class NodeFeatureVector:
     node_position: str
 
     def as_features(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 def prune_candidates(connective_selfcat):
@@ -48,34 +48,31 @@ def prune_candidates(connective_selfcat):
 
     With P the node path from connective_selfcat up to the root, returns
     every non-terminal node that is off P but whose parent is on P, in
-    document order.
+    document order. Those are the non-terminal children of the nodes of P,
+    less P itself; they are disjoint subtrees, so ordering them by first
+    token gives document order.
     """
-    path = path_to_root(connective_selfcat)
-    on_path = {id(node) for node in path}
-    root = path[-1]
-    return [node for node in root.walk()
-            if not node.is_terminal
-            and id(node) not in on_path
-            and node.parent is not None
-            and id(node.parent) in on_path]
+    pruned = []
+    below = None
+    for node in path_to_root(connective_selfcat):
+        pruned.extend(child for child in node.children
+                      if child is not below and not child.is_terminal)
+        below = node
+    pruned.sort(key=attrgetter("token_begin"))
+    return pruned
 
 
-def extract_node_features(node, connective, sentence):
+def extract_node_features(node, connective, features, top):
     """Nine features for one candidate constituent: the six connective
     features plus the node's path to the connective category, its context,
     and its position (left or right of the connective's first token).
+
+    features is the connective's ConnectiveFeatureVector and top the top
+    of its exact-cover chain, both computed once per connective.
     """
-    conn = extract_connective_features(connective, sentence)
-    top = exact_cover_chain(sentence.tree,
-                            (connective.token_begin, connective.token_end))[-1]
     position = POSITION_LEFT if node.token_begin < connective.token_begin else POSITION_RIGHT
     return NodeFeatureVector(
-        conn_lowercase=conn.conn_lowercase,
-        case_category=conn.case_category,
-        self_cat=conn.self_cat,
-        self_cat_parent=conn.self_cat_parent,
-        self_cat_left_sibling=conn.self_cat_left_sibling,
-        self_cat_right_sibling=conn.self_cat_right_sibling,
+        **vars(features),
         path_to_self_cat=render_path(node, top),
         node_context="-".join(node_context(node)),
         node_position=position,
@@ -95,6 +92,11 @@ def classify_constituents(candidates, model):
     return labels
 
 
+def _doc_indices(node, sentence):
+    return {sentence.tokens[i].doc_index
+            for i in range(node.token_begin, node.token_end)}
+
+
 def gold_constituent_label(node, sentence, arg1_tokens, arg2_tokens):
     """Training-side projection of gold argument spans onto a candidate.
 
@@ -102,18 +104,12 @@ def gold_constituent_label(node, sentence, arg1_tokens, arg2_tokens):
     inside that argument's gold span; anything else is labeled None, which
     keeps merging sound.
     """
-    covered = {sentence.tokens[i].doc_index
-               for i in range(node.token_begin, node.token_end)}
+    covered = _doc_indices(node, sentence)
     if covered <= set(arg1_tokens):
         return ConstituentLabel.ARG1_PART
     if covered <= set(arg2_tokens):
         return ConstituentLabel.ARG2_PART
     return ConstituentLabel.NONE
-
-
-def _doc_indices(node, sentence):
-    return {sentence.tokens[i].doc_index
-            for i in range(node.token_begin, node.token_end)}
 
 
 def merge_arguments(labels, connective, document):

@@ -14,14 +14,11 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .connective_lexicon import mine_lexicon
 from .corpus_io import export_relations, load_parses, load_relations
-from .decision_tree import train, tree_size
+from .decision_tree import tree_size, tree_support
 from .errors import DiscoParseError, InputFormatError
 from .evaluation import format_table, report_dict, score
-from .pipeline import (ParserModel, build_argument_dataset,
-                       build_usage_dataset, load_model, parse_document,
-                       save_model)
+from .pipeline import load_model, parse_document, save_model, train_model
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -107,18 +104,13 @@ def cmd_train(args):
     with open(args.relations, "rb") as handle:
         gold = load_relations(handle)
     documents = _load_documents(args.parses, args.raw)
-    lexicon = mine_lexicon(gold, documents)
-    usage_dataset = build_usage_dataset(documents, gold, lexicon)
-    argument_dataset = build_argument_dataset(documents, gold, lexicon)
-    usage_tree = train(usage_dataset, args.min_leaf)
-    argument_tree = train(argument_dataset, args.min_leaf)
-    model = ParserModel(lexicon, usage_tree, argument_tree)
+    model = train_model(documents, gold, args.min_leaf)
     save_model(model, args.out)
-    print(f"lexicon: {len(lexicon)} connectives", file=sys.stderr)
-    print(f"usage classifier: {len(usage_dataset)} instances, "
-          f"tree size {tree_size(usage_tree)}", file=sys.stderr)
-    print(f"argument classifier: {len(argument_dataset)} instances, "
-          f"tree size {tree_size(argument_tree)}", file=sys.stderr)
+    print(f"lexicon: {len(model.lexicon)} connectives", file=sys.stderr)
+    for name, tree in (("usage", model.usage_tree),
+                       ("argument", model.argument_tree)):
+        print(f"{name} classifier: {tree_support(tree)} instances, "
+              f"tree size {tree_size(tree)}", file=sys.stderr)
     print(f"model written to {args.out}", file=sys.stderr)
     return 0
 

@@ -8,10 +8,10 @@ not by a trained decision tree.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .decision_tree import predict
-from .parse_tree import NULL_LABEL, exact_cover_chain
+from .parse_tree import NULL_LABEL
 
 USAGE_POSITIVE = "discourse"
 USAGE_NEGATIVE = "non-discourse"
@@ -30,10 +30,6 @@ class ConnectiveCandidate:
     token_end: int
     surface: str  # lowercased space-joined tokens; always a lexicon key
 
-    @property
-    def token_range(self):
-        return range(self.token_begin, self.token_end)
-
 
 @dataclass(frozen=True)
 class ConnectiveFeatureVector:
@@ -45,7 +41,7 @@ class ConnectiveFeatureVector:
     self_cat_right_sibling: str
 
     def as_features(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 def find_candidates(document, lexicon):
@@ -91,17 +87,16 @@ def _label_or_null(node):
     return node.label if node is not None else NULL_LABEL
 
 
-def extract_connective_features(candidate, sentence):
+def extract_connective_features(candidate, sentence, chain):
     """Six connective features for one candidate.
 
-    The exact-cover nodes over a connective form a unary chain; the
-    category label and its parent are read off the bottom of that chain
-    (the node hugging the connective) while the siblings are read off the
-    top, which is what places single-token connectives next to the clause
-    they attach to.
+    chain is the exact-cover chain of the candidate's tokens, bottom to top
+    (parse_tree.exact_cover_chain). The exact-cover nodes over a connective
+    form a unary chain; the category label and its parent are read off the
+    bottom of that chain (the node hugging the connective) while the
+    siblings are read off the top, which is what places single-token
+    connectives next to the clause they attach to.
     """
-    chain = exact_cover_chain(sentence.tree,
-                              (candidate.token_begin, candidate.token_end))
     bottom, top = chain[0], chain[-1]
     raw = " ".join(token.surface for token in
                    sentence.tokens[candidate.token_begin:candidate.token_end])

@@ -7,9 +7,9 @@ annotation. Only explicit relations contribute, with no frequency floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import DataError, MissingDocumentError
+from .errors import DataError, DiscoParseError, MissingDocumentError
 
 
 @dataclass
@@ -26,9 +26,6 @@ class ConnectiveLexicon:
     def max_token_length(self):
         """Token count of the longest entry; 0 for an empty lexicon."""
         return max((len(key.split(" ")) for key in self.entries), default=0)
-
-    def __contains__(self, key):
-        return key in self.entries
 
     def __len__(self):
         return len(self.entries)
@@ -81,6 +78,20 @@ def most_frequent_sense(lexicon, connective):
         raise KeyError(f"connective '{connective}' has no observed senses")
     top = max(sense_counts.values())
     return min(sense for sense, count in sense_counts.items() if count == top)
+
+
+def annotate_sense(relation, lexicon, key):
+    """Replace the relation's senses with the most frequent sense of the
+    connective whose lexicon key is key.
+
+    Only the senses field changes. A key with no sense in the lexicon is a
+    pipeline invariant violation, not a recoverable condition.
+    """
+    try:
+        sense = most_frequent_sense(lexicon, key)
+    except KeyError as exc:
+        raise DiscoParseError(f"connective '{key}' has no sense in the lexicon") from exc
+    return replace(relation, senses=(sense,))
 
 
 def lexicon_to_json(lexicon):

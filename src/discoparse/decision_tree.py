@@ -134,6 +134,15 @@ def tree_size(tree):
     return 1 + sum(tree_size(child) for child in tree.children.values())
 
 
+def tree_support(tree):
+    """Number of training instances the tree was induced from: every
+    instance ends in exactly one leaf and is counted in its distribution.
+    """
+    if isinstance(tree, Leaf):
+        return sum(tree.distribution.values())
+    return sum(tree_support(child) for child in tree.children.values())
+
+
 def tree_to_json(tree):
     if isinstance(tree, Leaf):
         return {"kind": "leaf", "label": tree.label,

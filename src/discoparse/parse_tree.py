@@ -7,6 +7,9 @@ paths through the lowest common ancestor.
 
 from __future__ import annotations
 
+import re
+from itertools import islice
+
 from .errors import TreeParseError
 
 UP = "↑"
@@ -18,28 +21,23 @@ class ConstituentNode:
     """One node of a constituency tree.
 
     Terminals carry the token surface as their label; the POS tag is the
-    label of the terminal's parent. Parents, covered token ranges and node
-    ids are filled in once by parse_ptb; trees are never mutated after that,
-    so they are safe to share between threads.
+    label of the terminal's parent. Children, parents, covered token ranges
+    and node ids are filled in once by parse_ptb; trees are never mutated
+    after that, so they are safe to share between threads.
     """
 
     __slots__ = ("label", "children", "is_terminal", "parent",
                  "token_begin", "token_end", "node_id", "_child_index")
 
-    def __init__(self, label, children=(), is_terminal=False):
+    def __init__(self, label, is_terminal=False):
         self.label = label
-        self.children = list(children)
+        self.children = []
         self.is_terminal = is_terminal
         self.parent = None
         self.token_begin = -1
         self.token_end = -1
         self.node_id = -1
         self._child_index = -1
-
-    @property
-    def covered_tokens(self):
-        """Half-open range of sentence token indices under this node."""
-        return range(self.token_begin, self.token_end)
 
     @property
     def is_root(self):
@@ -82,71 +80,74 @@ class ConstituentNode:
         return f"<{kind} {self.label!r} [{self.token_begin},{self.token_end})>"
 
 
+# A token is a bracket or a maximal run of other non-space characters.
+_TOKEN = r"[()]|[^\s()]+"
+
+
 def _tokenize(text):
-    tokens = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch in "()":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < size and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
-    return tokens
+    """The tokens of _TOKEN, in order; splitting is faster than matching."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_node(tokens, index):
-    kind, value, pos = tokens[index]
-    if kind == "atom":
-        return ConstituentNode(value, is_terminal=True), index + 1
-    if kind == ")":
-        raise TreeParseError("unexpected ')'", position=pos)
-    index += 1
-    label = ""
-    if index < len(tokens) and tokens[index][0] == "atom":
-        label = tokens[index][1]
-        index += 1
-    children = []
-    while index < len(tokens) and tokens[index][0] != ")":
-        child, index = _parse_node(tokens, index)
-        children.append(child)
-    if index >= len(tokens):
-        raise TreeParseError("unbalanced bracketing, missing ')'", position=pos)
-    index += 1
-    if not children:
-        raise TreeParseError(f"node '{label}' has no children", position=pos)
-    # Unlabeled wrappers emitted by some parsers become an explicit ROOT.
-    return ConstituentNode(label or "ROOT", children), index
+def _char_position(text, token_index):
+    """Character position of the token_index-th token of text."""
+    return next(islice(re.finditer(_TOKEN, text), token_index, None)).start()
 
 
-def _finalize(root):
-    next_leaf = 0
+def _parse_tokens(text, tokens):
+    """Build the tree of the bracketing that starts at tokens[0], a '(',
+    in one pass: parents, child indices, pre-order ids and covered token
+    spans are set as nodes open and close.
+
+    Returns the root and the index of the first token after it. Open nodes
+    wait on an explicit stack as (node, label, token index), so nesting
+    depth is not bounded by the interpreter's recursion limit.
+    """
+    size = len(tokens)
+    stack = []
+    index = 0
     next_id = 0
-
-    def visit(node, parent):
-        nonlocal next_leaf, next_id
-        node.parent = parent
-        node.node_id = next_id
-        next_id += 1
-        if node.is_terminal:
-            node.token_begin = next_leaf
-            node.token_end = next_leaf + 1
-            next_leaf += 1
-            return
-        for i, child in enumerate(node.children):
-            child._child_index = i
-            visit(child, node)
-        node.token_begin = node.children[0].token_begin
-        node.token_end = node.children[-1].token_end
-
-    visit(root, None)
+    next_leaf = 0
+    while True:
+        value = tokens[index]
+        index += 1
+        if value == ")":
+            node, label, opened = stack.pop()
+            children = node.children
+            if not children:
+                raise TreeParseError(f"node '{label}' has no children",
+                                     position=_char_position(text, opened))
+            node.children = children.copy()  # exact size: appending over-allocates
+            node.token_begin = children[0].token_begin
+            node.token_end = children[-1].token_end
+            if not stack:
+                return node, index
+        else:
+            if value == "(":
+                opened = index - 1
+                label = ""
+                if index < size and tokens[index] not in "()":
+                    label = tokens[index]
+                    index += 1
+                # Unlabeled wrappers emitted by some parsers become an explicit ROOT.
+                node = ConstituentNode(label or "ROOT")
+            else:
+                node = ConstituentNode(value, is_terminal=True)
+                node.token_begin = next_leaf
+                node.token_end = next_leaf + 1
+                next_leaf += 1
+            node.node_id = next_id
+            next_id += 1
+            if stack:
+                parent = stack[-1][0]
+                node.parent = parent
+                node._child_index = len(parent.children)
+                parent.children.append(node)
+            if value == "(":
+                stack.append((node, label, opened))
+        if index >= size:
+            raise TreeParseError("unbalanced bracketing, missing ')'",
+                                 position=_char_position(text, stack[-1][2]))
 
 
 def parse_ptb(bracketing):
@@ -158,13 +159,12 @@ def parse_ptb(bracketing):
     if bracketing is None or not bracketing.strip():
         raise TreeParseError("empty bracketing", position=0)
     tokens = _tokenize(bracketing)
-    if tokens[0][0] != "(":
-        raise TreeParseError("expected '('", position=tokens[0][2])
-    root, next_index = _parse_node(tokens, 0)
+    if tokens[0] != "(":
+        raise TreeParseError("expected '('", position=_char_position(bracketing, 0))
+    root, next_index = _parse_tokens(bracketing, tokens)
     if next_index != len(tokens):
         raise TreeParseError("trailing content after tree",
-                             position=tokens[next_index][2])
-    _finalize(root)
+                             position=_char_position(bracketing, next_index))
     return root
 
 
@@ -184,32 +184,27 @@ def exact_cover_chain(tree, token_range):
     a POS node and a phrase node wrapping only it. When nothing covers the
     span exactly (a multiword span crossing constituent boundaries) the
     lowest node covering a superset of the span is returned alone.
+
+    Sibling spans are disjoint, so at most one child of a node covers the
+    span: the search descends from the root along that child and visits
+    only the nodes on one root-to-span path.
     """
     begin, end = _validate_range(tree, token_range)
-    chain = [node for node in tree.walk()
-             if not node.is_terminal
-             and node.token_begin == begin and node.token_end == end]
-    if chain:
-        chain.reverse()  # walk() yields ancestors first
-        return chain
     node = tree
     while True:
-        inner = next((child for child in node.children
-                      if not child.is_terminal
-                      and child.token_begin <= begin
-                      and child.token_end >= end), None)
-        if inner is None:
-            return [node]
-        node = inner
-
-
-def self_cat(tree, token_range):
-    """Highest node covering exactly token_range.
-
-    Falls back to the lowest node covering a superset when no exact cover
-    exists, which keeps the operation total for every valid range.
-    """
-    return exact_cover_chain(tree, token_range)[-1]
+        # The first child ending after begin is the only one that can cover.
+        child = next(child for child in node.children if child.token_end > begin)
+        if child.is_terminal or child.token_end < end:
+            break
+        node = child
+    if node.token_begin != begin or node.token_end != end:
+        return [node]
+    chain = [node]
+    parent = node.parent
+    while parent is not None and parent.token_begin == begin and parent.token_end == end:
+        chain.append(parent)
+        parent = parent.parent
+    return chain
 
 
 def path_to_root(node):

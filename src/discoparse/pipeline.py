@@ -20,13 +20,13 @@ from .argument_labeler import (classify_constituents, extract_node_features,
 from .connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
                                    classify_usage, extract_connective_features,
                                    find_candidates)
-from .connective_lexicon import (ConnectiveLexicon, lexicon_from_json,
-                                 lexicon_to_json, mine_lexicon)
+from .connective_lexicon import (ConnectiveLexicon, annotate_sense,
+                                 lexicon_from_json, lexicon_to_json,
+                                 mine_lexicon)
 from .corpus_io import DiscourseRelation
 from .decision_tree import Instance, train, tree_from_json, tree_to_json
 from .errors import ModelFormatError, TrainingError
 from .parse_tree import exact_cover_chain
-from .sense_annotator import annotate_sense
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +45,24 @@ def _candidate_span(candidate, document):
     sentence = document.sentences[candidate.sent_index]
     return tuple(sentence.tokens[i].doc_index
                  for i in range(candidate.token_begin, candidate.token_end))
+
+
+def _connective_syntax(candidate, sentence):
+    """(exact-cover chain, connective features) of one candidate.
+
+    The chain is computed once and serves the usage features, the pruning
+    anchor (its bottom) and the target of every node's path (its top).
+    """
+    chain = exact_cover_chain(sentence.tree,
+                              (candidate.token_begin, candidate.token_end))
+    return chain, extract_connective_features(candidate, sentence, chain)
+
+
+def _node_candidates(candidate, chain, features):
+    """(node, NodeFeatureVector) for every pruned constituent of a candidate."""
+    top = chain[-1]
+    return [(node, extract_node_features(node, candidate, features, top))
+            for node in prune_candidates(chain[0])]
 
 
 def _gold_connective_spans(gold):
@@ -67,7 +85,7 @@ def build_usage_dataset(documents, gold, lexicon):
             sentence = document.sentences[candidate.sent_index]
             span = _candidate_span(candidate, document)
             label = USAGE_POSITIVE if span in doc_spans else USAGE_NEGATIVE
-            features = extract_connective_features(candidate, sentence)
+            _, features = _connective_syntax(candidate, sentence)
             instances.append(Instance(features.as_features(), label))
     return instances
 
@@ -98,10 +116,8 @@ def build_argument_dataset(documents, gold, lexicon):
                 rel.relation_id, rel.doc_id, rel.connective_tokens)
             continue
         sentence = document.sentences[candidate.sent_index]
-        anchor = exact_cover_chain(
-            sentence.tree, (candidate.token_begin, candidate.token_end))[0]
-        for node in prune_candidates(anchor):
-            vector = extract_node_features(node, candidate, sentence)
+        chain, features = _connective_syntax(candidate, sentence)
+        for node, vector in _node_candidates(candidate, chain, features):
             label = gold_constituent_label(node, sentence,
                                            rel.arg1_tokens, rel.arg2_tokens)
             instances.append(Instance(vector.as_features(), label.value))
@@ -143,14 +159,10 @@ def parse_document(document, model):
     dropped = 0
     for candidate in find_candidates(document, model.lexicon):
         sentence = document.sentences[candidate.sent_index]
-        features = extract_connective_features(candidate, sentence)
+        chain, features = _connective_syntax(candidate, sentence)
         if not classify_usage(features, model.usage_tree):
             continue
-        anchor = exact_cover_chain(
-            sentence.tree, (candidate.token_begin, candidate.token_end))[0]
-        pruned = prune_candidates(anchor)
-        pairs = [(node, extract_node_features(node, candidate, sentence))
-                 for node in pruned]
+        pairs = _node_candidates(candidate, chain, features)
         labels = classify_constituents(pairs, model.argument_tree)
         merged = merge_arguments(labels, candidate, document)
         if merged is None:
@@ -166,7 +178,7 @@ def parse_document(document, model):
             arg2_tokens=arg2,
             senses=(),
         )
-        relations.append(annotate_sense(relation, model.lexicon, document))
+        relations.append(annotate_sense(relation, model.lexicon, candidate.surface))
     if dropped:
         logger.debug("document '%s': dropped %d relations without a previous "
                      "sentence for Arg1", document.doc_id, dropped)

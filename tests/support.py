@@ -1,8 +1,8 @@
 """Test-side helpers kept independent of the package internals.
 
-The leaf extractor, the entropy calculator and the brute-force pruning
-filter re-derive their answers from first principles so the tests they
-feed do not lean on the code paths under test.
+The leaf extractor, the entropy calculator, the whole-tree cover search
+and the brute-force pruning filter re-derive their answers from first
+principles so the tests they feed do not lean on the code paths under test.
 """
 
 import math
@@ -48,6 +48,29 @@ def build_document_json(bracketings):
         sentences.append({"parsetree": bracketing, "words": words})
         raw_parts.append(" ".join(word for _, word in leaves))
     return {"sentences": sentences}, "\n".join(raw_parts)
+
+
+def walk_exact_cover_chain(tree, token_range):
+    """The whole-tree cover search the package used before it descended:
+    every non-terminal node whose span equals token_range, bottom to top;
+    without one, the lowest node covering a superset of the span, alone.
+    """
+    begin, end = token_range
+    chain = [node for node in tree.walk()
+             if not node.is_terminal
+             and node.token_begin == begin and node.token_end == end]
+    if chain:
+        chain.reverse()  # walk() yields ancestors first
+        return chain
+    node = tree
+    while True:
+        inner = next((child for child in node.children
+                      if not child.is_terminal
+                      and child.token_begin <= begin
+                      and child.token_end >= end), None)
+        if inner is None:
+            return [node]
+        node = inner
 
 
 def bruteforce_prune(root, anchor):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from discoparse import (ConnectiveLexicon, Leaf,
+from discoparse import (ConnectiveLexicon, Leaf, exact_cover_chain,
                         export_relations, extract_connective_features,
                         extract_node_features, find_candidates, gain_ratio,
                         load_parses, load_relations, mine_lexicon,
@@ -40,7 +40,9 @@ def test_golden_connective_and_node_features():
     lexicon = ConnectiveLexicon({"when": ConnectiveStats(1, {"X": 1})})
     candidate, = find_candidates(document, lexicon)
 
-    conn = extract_connective_features(candidate, sentence)
+    chain = exact_cover_chain(sentence.tree,
+                              (candidate.token_begin, candidate.token_end))
+    conn = extract_connective_features(candidate, sentence, chain)
     assert conn.conn_lowercase == "when"
     assert conn.case_category == "all lowercase"
     assert conn.self_cat == "WRB"
@@ -50,7 +52,7 @@ def test_golden_connective_and_node_features():
 
     sbar = next(n for n in sentence.tree.walk() if n.label == "SBAR")
     clause = sbar.children[1]
-    node = extract_node_features(clause, candidate, sentence)
+    node = extract_node_features(clause, candidate, conn, chain[-1])
     assert node.path_to_self_cat == "S ↑ SBAR ↓ WHADVP"
     assert node.node_context == "S-SBAR-WHADVP-null"
     _passed("golden connective and node features", started, 1.0)

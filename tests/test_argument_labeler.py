@@ -3,8 +3,9 @@ import random
 import pytest
 
 from discoparse import (ConnectiveCandidate, ConstituentLabel, Leaf,
-                        extract_node_features,
-                        merge_arguments, prune_candidates)
+                        exact_cover_chain, extract_connective_features,
+                        extract_node_features, merge_arguments,
+                        parse_ptb, prune_candidates)
 from discoparse.argument_labeler import (POSITION_LEFT, POSITION_RIGHT,
                                          classify_constituents,
                                          gold_constituent_label)
@@ -12,7 +13,7 @@ from discoparse.errors import PredictionError
 
 import fixture_corpus
 from conftest import nodes_by_label
-from support import bruteforce_prune
+from support import bruteforce_prune, random_tree_text
 
 
 def _reference_parts(document):
@@ -33,6 +34,13 @@ def _reference_parts(document):
 
 def _when_candidate(document):
     return ConnectiveCandidate(document.doc_id, 0, 5, 6, "when")
+
+
+def _node_features(node, candidate, sentence):
+    chain = exact_cover_chain(sentence.tree,
+                              (candidate.token_begin, candidate.token_end))
+    features = extract_connective_features(candidate, sentence, chain)
+    return extract_node_features(node, candidate, features, chain[-1])
 
 
 def test_pruning_on_reference_tree(reference_document):
@@ -69,11 +77,23 @@ def test_pruning_matches_bruteforce(random_trees):
             assert id(candidate.parent) in on_path
 
 
+def test_pruning_order_matches_bruteforce():
+    # The oracle filters a pre-order walk, so it is in document order; the
+    # comparison is of ordered lists, not of id sets.
+    rng = random.Random(20150526)
+    for _ in range(200):
+        tree = parse_ptb(random_tree_text(rng, max_depth=8, max_branch=4))
+        anchor = rng.choice([n for n in tree.walk() if not n.is_terminal])
+        pruned = prune_candidates(anchor)
+        oracle = bruteforce_prune(tree, anchor)
+        assert len(pruned) == len(oracle)
+        assert all(a is b for a, b in zip(pruned, oracle))
+
+
 def test_node_features_for_subordinate_clause(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
-    vector = extract_node_features(parts["s2"], _when_candidate(reference_document),
-                                   sentence)
+    vector = _node_features(parts["s2"], _when_candidate(reference_document), sentence)
     assert vector.path_to_self_cat == "S ↑ SBAR ↓ WHADVP"
     assert vector.node_context == "S-SBAR-WHADVP-null"
     assert vector.node_position == POSITION_RIGHT
@@ -84,8 +104,7 @@ def test_node_features_for_subordinate_clause(reference_document):
 def test_node_position_left_of_connective(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
-    vector = extract_node_features(parts["np1"], _when_candidate(reference_document),
-                                   sentence)
+    vector = _node_features(parts["np1"], _when_candidate(reference_document), sentence)
     assert vector.node_position == POSITION_LEFT
 
 
@@ -93,7 +112,7 @@ def test_classify_constituents_single_leaf(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
     candidate = _when_candidate(reference_document)
-    pairs = [(node, extract_node_features(node, candidate, sentence))
+    pairs = [(node, _node_features(node, candidate, sentence))
              for node in prune_candidates(parts["wrb"])]
     labels = classify_constituents(pairs, Leaf("None", {"None": 1}))
     assert set(labels.values()) == {ConstituentLabel.NONE}
@@ -104,7 +123,7 @@ def test_classify_constituents_rejects_unknown_labels(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
     candidate = _when_candidate(reference_document)
-    pairs = [(parts["s2"], extract_node_features(parts["s2"], candidate, sentence))]
+    pairs = [(parts["s2"], _node_features(parts["s2"], candidate, sentence))]
     with pytest.raises(PredictionError):
         classify_constituents(pairs, Leaf("Arg3Part", {"Arg3Part": 1}))
 

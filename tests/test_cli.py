@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import discoparse
 from discoparse import export_relations, load_relations
 from discoparse.cli import main
 
 import fixture_corpus
+from support import build_document_json
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +65,18 @@ def test_train_prints_summary_to_stderr(corpus_on_disk, tmp_path, capsys):
     assert "lexicon: 12 connectives" in captured.err
     assert "usage classifier" in captured.err
     assert "argument classifier" in captured.err
+
+
+def test_train_reports_training_errors(corpus_on_disk, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code = main(["train", "--relations", str(empty),
+                 "--parses", str(corpus_on_disk / "parses.json"),
+                 "--raw", str(corpus_on_disk / "raw"),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert "no gold relations to train on" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_parse_reproduces_gold(corpus_on_disk, trained_model_path, tmp_path):
@@ -192,3 +209,34 @@ def test_min_leaf_must_be_positive(corpus_on_disk, tmp_path):
               "--raw", str(corpus_on_disk / "raw"),
               "--out", str(tmp_path / "m.json"), "--min-leaf", "0"])
     assert excinfo.value.code == 2
+
+
+def _run_cli(args):
+    """discoparse in a fresh interpreter, as a user would run it."""
+    package_root = os.path.dirname(os.path.dirname(discoparse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "discoparse.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("closing,code", [(1200, 0), (1199, 2)])
+def test_parse_deep_tree_never_prints_a_traceback(trained_model_path, tmp_path,
+                                                   closing, code):
+    # 1,200 levels deep, well formed or missing its last ')'.
+    deep = "(S " * 1200 + fixture_corpus.REFERENCE_BRACKETING + ")" * closing
+    entry, raw_text = build_document_json([deep])
+    (tmp_path / "parses.json").write_text(json.dumps({"deep": entry}),
+                                          encoding="utf-8")
+    (tmp_path / "raw").mkdir()
+    (tmp_path / "raw" / "deep").write_text(raw_text, encoding="utf-8")
+    out = tmp_path / "output.jsonl"
+    result = _run_cli(["parse", "--model", str(trained_model_path),
+                       "--parses", str(tmp_path / "parses.json"),
+                       "--raw", str(tmp_path / "raw"), "--out", str(out)])
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if code == 0:
+        assert len(load_relations(out.read_bytes())) == 1
+    else:
+        assert "missing ')'" in result.stderr

@@ -5,8 +5,8 @@ import string
 import pytest
 
 from discoparse import (ConnectiveLexicon, Leaf, classify_usage,
-                        extract_connective_features, find_candidates,
-                        load_parses, mine_lexicon, train)
+                        exact_cover_chain, extract_connective_features,
+                        find_candidates, load_parses, mine_lexicon, train)
 from discoparse.connective_annotator import (CASE_INITIAL_UPPER, CASE_LOWER,
                                              CASE_MIXED, CASE_UPPER,
                                              USAGE_NEGATIVE, USAGE_POSITIVE,
@@ -90,9 +90,14 @@ def test_candidates_sorted_and_disjoint(corpus_documents, corpus_gold):
             assert c.surface in lexicon.entries
 
 
+def _features(cand, sentence):
+    chain = exact_cover_chain(sentence.tree, (cand.token_begin, cand.token_end))
+    return extract_connective_features(cand, sentence, chain)
+
+
 def test_reference_feature_vector(reference_document):
     cand, = find_candidates(reference_document, _lexicon("when"))
-    features = extract_connective_features(cand, reference_document.sentences[0])
+    features = _features(cand, reference_document.sentences[0])
     assert features.conn_lowercase == "when"
     assert features.case_category == CASE_LOWER
     assert features.self_cat == "WRB"
@@ -104,8 +109,8 @@ def test_reference_feature_vector(reference_document):
 def test_feature_extraction_is_pure(reference_document):
     cand, = find_candidates(reference_document, _lexicon("when"))
     sentence = reference_document.sentences[0]
-    assert extract_connective_features(cand, sentence) == \
-        extract_connective_features(cand, sentence)
+    assert _features(cand, sentence) == \
+        _features(cand, sentence)
 
 
 @pytest.mark.parametrize("surface,expected", [
@@ -131,7 +136,7 @@ def test_case_category_is_total():
 
 def test_classify_usage_single_leaf(reference_document):
     cand, = find_candidates(reference_document, _lexicon("when"))
-    features = extract_connective_features(cand, reference_document.sentences[0])
+    features = _features(cand, reference_document.sentences[0])
     assert classify_usage(features, Leaf(USAGE_POSITIVE, {USAGE_POSITIVE: 1}))
     assert not classify_usage(features, Leaf(USAGE_NEGATIVE, {USAGE_NEGATIVE: 1}))
 
@@ -139,7 +144,7 @@ def test_classify_usage_single_leaf(reference_document):
 def test_classify_usage_with_separating_tree(reference_document):
     # A right sibling S perfectly predicts discourse usage in this fixture.
     cand, = find_candidates(reference_document, _lexicon("when"))
-    features = extract_connective_features(cand, reference_document.sentences[0])
+    features = _features(cand, reference_document.sentences[0])
     base = features.as_features()
     negative = dict(base, self_cat_right_sibling="NP")
     dataset = [Instance(base, USAGE_POSITIVE),
@@ -152,7 +157,7 @@ def test_classify_usage_with_separating_tree(reference_document):
 
 def test_unseen_connective_value_falls_through_majority(reference_document):
     cand, = find_candidates(reference_document, _lexicon("when"))
-    features = extract_connective_features(cand, reference_document.sentences[0])
+    features = _features(cand, reference_document.sentences[0])
     base = features.as_features()
     dataset = ([Instance(dict(base, conn_lowercase="until"), USAGE_POSITIVE)] * 3
                + [Instance(dict(base, conn_lowercase="so"), USAGE_NEGATIVE)] * 2)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from discoparse import Branch, Instance, Leaf, gain_ratio, predict, train
-from discoparse.decision_tree import tree_from_json, tree_size, tree_to_json
+from discoparse.decision_tree import (tree_from_json, tree_size, tree_support,
+                                     tree_to_json)
 from discoparse.errors import PredictionError, TrainingError
 
 from support import oracle_gain_ratio
@@ -177,3 +178,9 @@ def test_json_round_trip():
     tree = train(weather_instances(), min_leaf=1)
     assert tree_from_json(tree_to_json(tree)) == tree
     assert tree_size(tree) == tree_size(tree_from_json(tree_to_json(tree)))
+
+
+def test_tree_support_counts_training_instances():
+    dataset = weather_instances()
+    for min_leaf in (1, 2, 5):
+        assert tree_support(train(dataset, min_leaf)) == len(dataset)

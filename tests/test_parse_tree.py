@@ -3,12 +3,12 @@ import random
 import pytest
 
 from discoparse import (exact_cover_chain, node_context, parse_ptb,
-                        path_to_root, render_path, self_cat)
+                        path_to_root, render_path)
 from discoparse.errors import TreeParseError
 
 import fixture_corpus
 from conftest import nodes_by_label
-from support import random_tree_text
+from support import random_tree_text, walk_exact_cover_chain
 
 
 def test_reference_tree_structure(reference_tree):
@@ -62,33 +62,33 @@ def test_render_parse_round_trip(random_trees):
 
 
 def test_self_cat_whole_sentence_is_root(reference_tree):
-    assert self_cat(reference_tree, (0, 11)) is reference_tree
+    assert exact_cover_chain(reference_tree, (0, 11))[-1] is reference_tree
 
 
 def test_self_cat_object_span(reference_tree):
     # "index arbitrage" is exactly the object NP under the inner VP.
     np2 = nodes_by_label(reference_tree)["VP"][1].children[1]
     assert np2.label == "NP"
-    assert self_cat(reference_tree, (3, 5)) is np2
+    assert exact_cover_chain(reference_tree, (3, 5))[-1] is np2
 
 
 def test_exact_cover_chain_is_unary(reference_tree):
     chain = exact_cover_chain(reference_tree, (5, 6))
     assert [node.label for node in chain] == ["WRB", "WHADVP"]
-    assert self_cat(reference_tree, (5, 6)).label == "WHADVP"
+    assert exact_cover_chain(reference_tree, (5, 6))[-1].label == "WHADVP"
 
 
 def test_self_cat_falls_back_to_lowest_cover(reference_tree):
     # "arbitrage when" crosses constituents; the inner VP is the lowest cover.
-    node = self_cat(reference_tree, (4, 6))
+    node = exact_cover_chain(reference_tree, (4, 6))[-1]
     assert node is nodes_by_label(reference_tree)["VP"][1]
 
 
 def test_self_cat_rejects_bad_ranges(reference_tree):
     with pytest.raises(ValueError):
-        self_cat(reference_tree, (3, 3))
+        exact_cover_chain(reference_tree, (3, 3))
     with pytest.raises(ValueError):
-        self_cat(reference_tree, (0, 99))
+        exact_cover_chain(reference_tree, (0, 99))
 
 
 def test_path_to_root_labels(reference_tree):
@@ -186,7 +186,7 @@ def test_node_context_object_np(reference_tree):
 def test_self_cat_is_ancestor_or_self(random_trees):
     for tree in random_trees[:50]:
         for node in tree.walk():
-            found = self_cat(tree, (node.token_begin, node.token_end))
+            found = exact_cover_chain(tree, (node.token_begin, node.token_end))[-1]
             ancestors = {id(n) for n in path_to_root(node)}
             assert id(found) in ancestors
             assert found.token_begin <= node.token_begin
@@ -212,3 +212,78 @@ def test_random_tree_text_respects_bounds():
         for node in tree.walk():
             assert len(node.children) <= 4
             assert len(path_to_root(node)) <= 10  # 8 internal levels + POS + word
+
+
+def _cover_test_spans(tree, rng):
+    """Every valid span of a tree of at most 60 tokens; 30 drawn at random
+    from a larger one (all of its spans would take minutes to check).
+    """
+    size = tree.token_end
+    if size <= 60:
+        return [(b, e) for b in range(size) for e in range(b + 1, size + 1)]
+    spans = []
+    for _ in range(30):
+        begin, end = sorted(rng.sample(range(size + 1), 2))
+        spans.append((begin, end))
+    return spans
+
+
+def test_exact_cover_chain_matches_whole_tree_search(random_trees):
+    # Most spans cross constituent boundaries and have no exact cover.
+    rng = random.Random(5)
+    checked = uncovered = 0
+    for tree in random_trees:
+        for begin, end in _cover_test_spans(tree, rng):
+            oracle = walk_exact_cover_chain(tree, (begin, end))
+            found = exact_cover_chain(tree, (begin, end))
+            assert len(found) == len(oracle)
+            assert all(a is b for a, b in zip(found, oracle))
+            checked += 1
+            uncovered += (oracle[0].token_begin, oracle[0].token_end) != (begin, end)
+    assert checked > 20000
+    assert 0 < uncovered < checked
+
+
+DEEP = 1200
+
+
+def _deep_bracketing(depth):
+    return "(S " * depth + "(NN dog)" + ")" * depth
+
+
+def test_deeply_nested_bracketing_parses():
+    tree = parse_ptb(_deep_bracketing(DEEP))
+    assert len(path_to_root(tree.terminals()[0])) == DEEP + 2
+    assert (tree.token_begin, tree.token_end) == (0, 1)
+    chain = exact_cover_chain(tree, (0, 1))
+    assert len(chain) == DEEP + 1
+    assert chain[-1] is tree
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("(S (NP", "unbalanced bracketing, missing ')'", 3),
+    ("(S (NN dog)", "unbalanced bracketing, missing ')'", 0),
+    ("(S (NN dog)) extra)", "trailing content after tree", 13),
+    ("()", "node '' has no children", 0),
+    ("(S ())", "node '' has no children", 3),
+    ("(S (NP) (NN dog))", "node 'NP' has no children", 3),
+    ("dog", "expected '('", 0),
+    ("(S", "unbalanced bracketing, missing ')'", 0),
+    ("(S (NN dog)))", "trailing content after tree", 12),
+])
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(TreeParseError) as excinfo:
+        parse_ptb(text)
+    assert str(excinfo.value) == f"{message} (at character {position})"
+    assert excinfo.value.position == position
+
+
+def test_deep_bracketing_errors_keep_their_positions():
+    text = _deep_bracketing(DEEP)
+    with pytest.raises(TreeParseError) as excinfo:
+        parse_ptb(text[:-1])
+    # The innermost unclosed node is the outermost S.
+    assert excinfo.value.position == 0
+    with pytest.raises(TreeParseError) as excinfo:
+        parse_ptb(text.replace("(NN dog)", "()"))
+    assert excinfo.value.position == 3 * DEEP

@@ -166,20 +166,20 @@ def test_model_version_mismatch(tmp_path, trained):
     assert "format_version" in str(excinfo.value)
 
 
-def test_annotate_sense_single_observation(reference_document):
+def test_annotate_sense_single_observation():
     lexicon = ConnectiveLexicon({"when": ConnectiveStats(
         1, {"Temporal.Asynchronous.Precedence": 1})})
     rel = DiscourseRelation("ex01", 0, "Explicit", (5,), (0, 1), (6, 7), ())
-    annotated = annotate_sense(rel, lexicon, reference_document)
+    annotated = annotate_sense(rel, lexicon, "when")
     assert annotated.senses == ("Temporal.Asynchronous.Precedence",)
 
 
-def test_annotate_sense_majority(reference_document):
+def test_annotate_sense_majority():
     lexicon = ConnectiveLexicon({"when": ConnectiveStats(
         5, {"Contingency.Condition": 3, "Temporal.Synchrony": 2})})
     rel = DiscourseRelation("ex01", 0, "Explicit", (5,), (0, 1), (6, 7),
                             ("placeholder",))
-    annotated = annotate_sense(rel, lexicon, reference_document)
+    annotated = annotate_sense(rel, lexicon, "when")
     assert annotated.senses == ("Contingency.Condition",)
     # Only the senses field may change.
     assert annotated.connective_tokens == rel.connective_tokens
@@ -189,10 +189,10 @@ def test_annotate_sense_majority(reference_document):
     assert annotated.relation_id == rel.relation_id
 
 
-def test_annotate_sense_unknown_connective_is_hard_error(reference_document):
+def test_annotate_sense_unknown_connective_is_hard_error():
     rel = DiscourseRelation("ex01", 0, "Explicit", (5,), (0, 1), (6, 7), ())
     with pytest.raises(DiscoParseError):
-        annotate_sense(rel, ConnectiveLexicon(), reference_document)
+        annotate_sense(rel, ConnectiveLexicon(), "when")
 
 
 def test_annotated_sense_is_argmax(trained):
@@ -235,3 +235,17 @@ def test_every_relation_comes_from_a_candidate(trained):
         assert len(relations) <= len(spans)
         for rel in relations:
             assert rel.connective_tokens in spans
+
+
+def test_deeply_nested_tree_parses(trained):
+    # 1,200 unary levels above the reference sentence: deeper than the
+    # interpreter's default recursion limit.
+    _, _, model = trained
+    deep = "(S " * 1200 + fixture_corpus.REFERENCE_BRACKETING + ")" * 1200
+    entry, raw_text = build_document_json([deep])
+    document, = load_parses(json.dumps({"deep": entry}).encode("utf-8"),
+                            {"deep": raw_text})
+    relations = parse_document(document, model)
+    ref = fixture_corpus.REFERENCE_RELATION
+    assert [(rel.connective_tokens, rel.arg1_tokens, rel.arg2_tokens)
+            for rel in relations] == [(ref["connective"], ref["arg1"], ref["arg2"])]
