@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .corpus_io import export_relations, load_parses, load_relations
 from .decision_tree import tree_size, tree_support
@@ -57,8 +56,6 @@ def _build_parser():
     parse_p.add_argument("--conll-tokenlist", action="store_true",
                          help="emit 5-tuple TokenList entries for strict "
                               "shared-task compatibility")
-    parse_p.add_argument("--parallelism", type=_positive_int,
-                         default=os.cpu_count() or 1)
     parse_p.set_defaults(func=cmd_parse)
 
     score_p = sub.add_parser("score", help="score predicted relations against gold")
@@ -118,13 +115,8 @@ def cmd_train(args):
 def cmd_parse(args):
     model = load_model(args.model)
     documents = _load_documents(args.parses, args.raw)
-    ordered = list(documents.values())
-    if args.parallelism > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            per_doc = list(pool.map(lambda d: parse_document(d, model), ordered))
-    else:
-        per_doc = [parse_document(doc, model) for doc in ordered]
-    relations = [rel for doc_rels in per_doc for rel in doc_rels]
+    relations = [rel for doc in documents.values()
+                 for rel in parse_document(doc, model)]
     data = export_relations(relations, documents,
                             conll_tokenlist=args.conll_tokenlist)
     with open(args.out, "wb") as handle:

@@ -39,7 +39,7 @@ class ModelFormatError(InputFormatError):
     """A model file is unreadable or has an unsupported format version."""
 
 
-class TrainingError(DiscoParseError):
+class TrainingError(InputFormatError):
     """A classifier cannot be trained from the given data."""
 
 

@@ -40,10 +40,6 @@ class ConstituentNode:
         self._child_index = -1
 
     @property
-    def is_root(self):
-        return self.parent is None
-
-    @property
     def left_sibling(self):
         if self.parent is None or self._child_index <= 0:
             return None
@@ -70,10 +66,22 @@ class ConstituentNode:
         return [node for node in self.walk() if node.is_terminal]
 
     def to_bracketing(self):
-        if self.is_terminal:
-            return self.label
-        inner = " ".join(child.to_bracketing() for child in self.children)
-        return f"({self.label} {inner})"
+        """PTB bracketing of the subtree, at any depth (explicit stack, as in walk)."""
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.is_terminal:
+                parts.append(item.label)
+            else:
+                parts.append(f"({item.label} ")
+                stack.append(")")
+                for child in reversed(item.children[1:]):
+                    stack += (child, " ")
+                stack.extend(item.children[:1])
+        return "".join(parts)
 
     def __repr__(self):
         kind = "terminal" if self.is_terminal else "node"

@@ -38,7 +38,6 @@ class ParserModel:
     lexicon: ConnectiveLexicon
     usage_tree: object
     argument_tree: object
-    format_version: int = MODEL_FORMAT_VERSION
 
 
 def _candidate_span(candidate, document):
@@ -187,7 +186,7 @@ def parse_document(document, model):
 
 def model_to_json(model):
     return {
-        "format_version": model.format_version,
+        "format_version": MODEL_FORMAT_VERSION,
         "lexicon": lexicon_to_json(model.lexicon),
         "usage_tree": tree_to_json(model.usage_tree),
         "argument_tree": tree_to_json(model.argument_tree),
@@ -216,7 +215,6 @@ def load_model(path):
             lexicon=lexicon_from_json(data["lexicon"]),
             usage_tree=tree_from_json(data["usage_tree"]),
             argument_tree=tree_from_json(data["argument_tree"]),
-            format_version=version,
         )
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"model file '{path}' is incomplete: {exc}") from exc

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import discoparse
-from discoparse import export_relations, load_relations
+from discoparse import (export_relations, load_model, load_parses,
+                        load_relations, parse_document)
 from discoparse.cli import main
 
 import fixture_corpus
@@ -67,15 +68,27 @@ def test_train_prints_summary_to_stderr(corpus_on_disk, tmp_path, capsys):
     assert "argument classifier" in captured.err
 
 
-def test_train_reports_training_errors(corpus_on_disk, tmp_path, capsys):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("", encoding="utf-8")
-    code = main(["train", "--relations", str(empty),
+@pytest.mark.parametrize("relation_type,message", [
+    (None, "no gold relations to train on"),
+    ("Implicit", "gold data contains no explicit relations"),
+], ids=["empty", "explicit-free"])
+def test_train_reports_training_errors(corpus_on_disk, tmp_path, capsys,
+                                       relation_type, message):
+    # Either no relations at all, or every gold relation made non-explicit.
+    retyped = []
+    if relation_type is not None:
+        for line in (corpus_on_disk / "relations.jsonl").read_text().splitlines():
+            obj = json.loads(line)
+            obj["Type"] = relation_type
+            retyped.append(json.dumps(obj) + "\n")
+    relations = tmp_path / "relations.jsonl"
+    relations.write_text("".join(retyped), encoding="utf-8")
+    code = main(["train", "--relations", str(relations),
                  "--parses", str(corpus_on_disk / "parses.json"),
                  "--raw", str(corpus_on_disk / "raw"),
                  "--out", str(tmp_path / "m.json")])
-    assert code == 1
-    assert "no gold relations to train on" in capsys.readouterr().err
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -105,18 +118,30 @@ def test_parse_reproduces_gold(corpus_on_disk, trained_model_path, tmp_path):
     assert out.read_bytes() == first
 
 
-def test_parse_single_worker_matches_parallel(corpus_on_disk,
-                                              trained_model_path, tmp_path):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    base = ["--model", str(trained_model_path),
-            "--parses", str(corpus_on_disk / "parses.json"),
-            "--raw", str(corpus_on_disk / "raw")]
-    assert main(["parse", *base, "--out", str(serial),
-                 "--parallelism", "1"]) == 0
-    assert main(["parse", *base, "--out", str(parallel),
-                 "--parallelism", "4"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_parse_matches_library_pass(corpus_on_disk, trained_model_path,
+                                    tmp_path):
+    out = tmp_path / "output.jsonl"
+    assert main(["parse", "--model", str(trained_model_path),
+                 "--parses", str(corpus_on_disk / "parses.json"),
+                 "--raw", str(corpus_on_disk / "raw"),
+                 "--out", str(out)]) == 0
+    raw = {path.name: path.read_text(encoding="utf-8")
+           for path in (corpus_on_disk / "raw").iterdir()}
+    documents = load_parses((corpus_on_disk / "parses.json").read_bytes(), raw)
+    model = load_model(str(trained_model_path))
+    relations = [rel for doc in documents for rel in parse_document(doc, model)]
+    expected = export_relations(relations, {d.doc_id: d for d in documents})
+    assert out.read_bytes() == expected
+
+
+def test_parse_rejects_parallelism(corpus_on_disk, trained_model_path,
+                                   tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["parse", "--model", str(trained_model_path),
+              "--parses", str(corpus_on_disk / "parses.json"),
+              "--raw", str(corpus_on_disk / "raw"),
+              "--out", str(tmp_path / "out.jsonl"), "--parallelism", "2"])
+    assert excinfo.value.code == 2
 
 
 def test_parse_conll_tokenlist(corpus_on_disk, trained_model_path, tmp_path):

@@ -252,7 +252,9 @@ def _deep_bracketing(depth):
 
 
 def test_deeply_nested_bracketing_parses():
-    tree = parse_ptb(_deep_bracketing(DEEP))
+    text = _deep_bracketing(DEEP)
+    tree = parse_ptb(text)
+    assert tree.to_bracketing() == text
     assert len(path_to_root(tree.terminals()[0])) == DEEP + 2
     assert (tree.token_begin, tree.token_end) == (0, 1)
     chain = exact_cover_chain(tree, (0, 1))
