@@ -9,11 +9,9 @@ own as well; the sense lookup, annotate_sense, lives beside the lexicon it
 reads.
 """
 
-from .argument_labeler import (ConstituentLabel, NodeFeatureVector,
-                               extract_node_features, merge_arguments,
-                               prune_candidates)
-from .connective_annotator import (ConnectiveCandidate,
-                                   ConnectiveFeatureVector, classify_usage,
+from .argument_labeler import (ConstituentLabel, extract_node_features,
+                               merge_arguments, prune_candidates)
+from .connective_annotator import (ConnectiveCandidate, classify_usage,
                                    extract_connective_features,
                                    find_candidates)
 from .connective_lexicon import (ConnectiveLexicon, ConnectiveStats,
@@ -32,10 +30,10 @@ from .pipeline import (ParserModel, load_model, parse_document, save_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConnectiveCandidate", "ConnectiveFeatureVector", "ConnectiveLexicon",
-    "ConnectiveStats", "ConstituentLabel", "ConstituentNode", "Branch",
-    "DiscoParseError", "DiscourseRelation", "Document", "Instance", "Leaf",
-    "NodeFeatureVector", "PRF", "ParserModel", "Sentence", "Token",
+    "ConnectiveCandidate", "ConnectiveLexicon", "ConnectiveStats",
+    "ConstituentLabel", "ConstituentNode", "Branch", "DiscoParseError",
+    "DiscourseRelation", "Document", "Instance", "Leaf", "PRF",
+    "ParserModel", "Sentence", "Token",
     "annotate_sense", "classify_usage", "exact_cover_chain",
     "export_relations", "extract_connective_features",
     "extract_node_features", "find_candidates", "gain_ratio", "load_model",

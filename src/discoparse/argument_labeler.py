@@ -10,7 +10,6 @@ previous sentence the relation is dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .decision_tree import predict
@@ -25,22 +24,6 @@ class ConstituentLabel(enum.Enum):
     ARG1_PART = "Arg1Part"
     ARG2_PART = "Arg2Part"
     NONE = "None"
-
-
-@dataclass(frozen=True)
-class NodeFeatureVector:
-    conn_lowercase: str
-    case_category: str
-    self_cat: str
-    self_cat_parent: str
-    self_cat_left_sibling: str
-    self_cat_right_sibling: str
-    path_to_self_cat: str
-    node_context: str
-    node_position: str
-
-    def as_features(self):
-        return dict(vars(self))
 
 
 def prune_candidates(connective_selfcat):
@@ -67,23 +50,24 @@ def extract_node_features(node, connective, features, top):
     features plus the node's path to the connective category, its context,
     and its position (left or right of the connective's first token).
 
-    features is the connective's ConnectiveFeatureVector and top the top
-    of its exact-cover chain, both computed once per connective.
+    features is the connective's feature dict, copied and never mutated,
+    and top the top of its exact-cover chain, both computed once per
+    connective.
     """
     position = POSITION_LEFT if node.token_begin < connective.token_begin else POSITION_RIGHT
-    return NodeFeatureVector(
-        **vars(features),
-        path_to_self_cat=render_path(node, top),
-        node_context="-".join(node_context(node)),
-        node_position=position,
-    )
+    return {
+        **features,
+        "path_to_self_cat": render_path(node, top),
+        "node_context": "-".join(node_context(node)),
+        "node_position": position,
+    }
 
 
 def classify_constituents(candidates, model):
-    """Label every (node, feature vector) pair with a ConstituentLabel."""
+    """Label every (node, features) pair with a ConstituentLabel."""
     labels = {}
-    for node, vector in candidates:
-        predicted = predict(model, vector.as_features())
+    for node, features in candidates:
+        predicted = predict(model, features)
         try:
             labels[node] = ConstituentLabel(predicted)
         except ValueError as exc:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error. Logs go to
 standard error only; data goes to the files named by flags or to standard
-output. DISCO_LOG overrides --log-level.
+output.
 """
 
 from __future__ import annotations
@@ -67,16 +67,8 @@ def _build_parser():
     return parser
 
 
-def _log_level_name(flag_value):
-    # DISCO_LOG wins over --log-level when set.
-    return os.environ.get("DISCO_LOG", "").strip().lower() or flag_value
-
-
 def _configure_logging(args):
-    level = getattr(logging, _log_level_name(args.log_level).upper(), None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level,
+    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -31,19 +31,6 @@ class ConnectiveCandidate:
     surface: str  # lowercased space-joined tokens; always a lexicon key
 
 
-@dataclass(frozen=True)
-class ConnectiveFeatureVector:
-    conn_lowercase: str
-    case_category: str
-    self_cat: str
-    self_cat_parent: str
-    self_cat_left_sibling: str
-    self_cat_right_sibling: str
-
-    def as_features(self):
-        return dict(vars(self))
-
-
 def find_candidates(document, lexicon):
     """Lexicon matches in the document, greedy longest-first per sentence.
 
@@ -88,7 +75,7 @@ def _label_or_null(node):
 
 
 def extract_connective_features(candidate, sentence, chain):
-    """Six connective features for one candidate.
+    """The six named connective features of one candidate, as a dict.
 
     chain is the exact-cover chain of the candidate's tokens, bottom to top
     (parse_tree.exact_cover_chain). The exact-cover nodes over a connective
@@ -100,16 +87,16 @@ def extract_connective_features(candidate, sentence, chain):
     bottom, top = chain[0], chain[-1]
     raw = " ".join(token.surface for token in
                    sentence.tokens[candidate.token_begin:candidate.token_end])
-    return ConnectiveFeatureVector(
-        conn_lowercase=candidate.surface,
-        case_category=case_category(raw),
-        self_cat=bottom.label,
-        self_cat_parent=_label_or_null(bottom.parent),
-        self_cat_left_sibling=_label_or_null(top.left_sibling),
-        self_cat_right_sibling=_label_or_null(top.right_sibling),
-    )
+    return {
+        "conn_lowercase": candidate.surface,
+        "case_category": case_category(raw),
+        "self_cat": bottom.label,
+        "self_cat_parent": _label_or_null(bottom.parent),
+        "self_cat_left_sibling": _label_or_null(top.left_sibling),
+        "self_cat_right_sibling": _label_or_null(top.right_sibling),
+    }
 
 
 def classify_usage(features, model):
-    """True when the usage tree labels the feature vector as discourse."""
-    return predict(model, features.as_features()) == USAGE_POSITIVE
+    """True when the usage tree labels the features as discourse."""
+    return predict(model, features) == USAGE_POSITIVE

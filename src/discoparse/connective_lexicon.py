@@ -41,7 +41,8 @@ def mine_lexicon(gold, documents):
 
     Each relation adds one occurrence to its connective entry and one count
     per listed sense. Non-explicit relations are skipped; an explicit
-    relation without connective tokens is a data error.
+    relation without connective tokens, or with one outside its document,
+    is a data error.
     """
     entries = {}
     token_cache = {}
@@ -57,6 +58,10 @@ def mine_lexicon(gold, documents):
         if rel.doc_id not in token_cache:
             token_cache[rel.doc_id] = documents[rel.doc_id].all_tokens()
         flat = token_cache[rel.doc_id]
+        if not all(0 <= i < len(flat) for i in rel.connective_tokens):
+            raise DataError(
+                f"relation {rel.relation_id}: connective token index out of "
+                f"range for document '{rel.doc_id}'")
         key = connective_key(flat[i].surface for i in sorted(rel.connective_tokens))
         stats = entries.setdefault(key, ConnectiveStats())
         stats.total_count += 1

@@ -101,8 +101,9 @@ def _build_document(doc_id, doc_data, raw_text):
     doc_index = 0
     for sent_index, entry in enumerate(doc_data["sentences"]):
         where = f"document '{doc_id}' sentence {sent_index}"
-        if not isinstance(entry, dict) or "parsetree" not in entry or "words" not in entry:
-            raise InputFormatError(f"{where}: missing 'parsetree' or 'words'")
+        if not isinstance(entry, dict) or "parsetree" not in entry \
+                or not isinstance(entry.get("words"), list):
+            raise InputFormatError(f"{where}: missing 'parsetree' or 'words' array")
         try:
             tree = parse_ptb(entry["parsetree"])
         except TreeParseError as exc:
@@ -117,7 +118,9 @@ def _build_document(doc_id, doc_data, raw_text):
                 pos = attrs["PartOfSpeech"]
             except (TypeError, KeyError, IndexError) as exc:
                 raise InputFormatError(f"{where}: malformed word entry {i}") from exc
-            if not 0 <= begin < end:
+            if not isinstance(surface, str) or not isinstance(pos, str):
+                raise InputFormatError(f"{where}: word {i} has a non-string surface or tag")
+            if type(begin) is not int or type(end) is not int or not 0 <= begin < end:
                 raise InputFormatError(
                     f"{where}: word {i} has invalid character span [{begin}, {end})")
             if end > len(raw_text):
@@ -146,13 +149,12 @@ def _build_document(doc_id, doc_data, raw_text):
 def _token_indices(token_list, line_number):
     indices = []
     for entry in token_list:
-        if isinstance(entry, int):
-            indices.append(entry)
-        elif isinstance(entry, (list, tuple)) and len(entry) >= 3:
-            indices.append(entry[2])  # [char_begin, char_end, doc_index, ...]
-        else:
+        # An index, or [char_begin, char_end, doc_index, ...].
+        index = entry[2] if isinstance(entry, list) and len(entry) >= 3 else entry
+        if type(index) is not int or index < 0:
             raise InputFormatError(
                 f"line {line_number}: unreadable TokenList entry {entry!r}")
+        indices.append(index)
     return tuple(indices)
 
 
@@ -182,17 +184,19 @@ def _relation_from_json(obj, line_number):
         relation_type = obj["Type"]
         senses = obj["Sense"]
         spans = {name: obj[name] for name in ("Connective", "Arg1", "Arg2")}
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"line {line_number}: missing or malformed field: {exc}") from exc
-    if relation_type not in RELATION_TYPES:
+    if not isinstance(doc_id, str):
+        raise InputFormatError(f"line {line_number}: DocID must be a string")
+    if not isinstance(relation_type, str) or relation_type not in RELATION_TYPES:
         raise InputFormatError(
-            f"line {line_number}: unknown relation type '{relation_type}'")
-    if not isinstance(senses, list):
-        raise InputFormatError(f"line {line_number}: Sense must be a list")
+            f"line {line_number}: unknown relation type {relation_type!r}")
+    if not isinstance(senses, list) or not all(isinstance(s, str) for s in senses):
+        raise InputFormatError(f"line {line_number}: Sense must be a list of strings")
     token_sets = {}
     for name, span in spans.items():
-        if not isinstance(span, dict) or "TokenList" not in span:
-            raise InputFormatError(f"line {line_number}: {name} has no TokenList")
+        if not isinstance(span, dict) or not isinstance(span.get("TokenList"), list):
+            raise InputFormatError(f"line {line_number}: {name} has no TokenList array")
         token_sets[name] = _token_indices(span["TokenList"], line_number)
     return DiscourseRelation(doc_id, relation_id, relation_type,
                              token_sets["Connective"], token_sets["Arg1"],

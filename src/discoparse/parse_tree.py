@@ -161,10 +161,13 @@ def _parse_tokens(text, tokens):
 def parse_ptb(bracketing):
     """Parse a PTB s-expression into a finalized ConstituentNode tree.
 
-    Raises TreeParseError (with a character position) on empty input,
-    unbalanced parentheses, childless nodes or trailing content.
+    Raises TreeParseError on input that is not a string, and (with a
+    character position) on empty input, unbalanced parentheses, childless
+    nodes or trailing content.
     """
-    if bracketing is None or not bracketing.strip():
+    if not isinstance(bracketing, str):
+        raise TreeParseError(f"bracketing is not a string: {bracketing!r}")
+    if not bracketing.strip():
         raise TreeParseError("empty bracketing", position=0)
     tokens = _tokenize(bracketing)
     if tokens[0] != "(":

@@ -58,7 +58,7 @@ def _connective_syntax(candidate, sentence):
 
 
 def _node_candidates(candidate, chain, features):
-    """(node, NodeFeatureVector) for every pruned constituent of a candidate."""
+    """(node, feature dict) for every pruned constituent of a candidate."""
     top = chain[-1]
     return [(node, extract_node_features(node, candidate, features, top))
             for node in prune_candidates(chain[0])]
@@ -85,7 +85,7 @@ def build_usage_dataset(documents, gold, lexicon):
             span = _candidate_span(candidate, document)
             label = USAGE_POSITIVE if span in doc_spans else USAGE_NEGATIVE
             _, features = _connective_syntax(candidate, sentence)
-            instances.append(Instance(features.as_features(), label))
+            instances.append(Instance(features, label))
     return instances
 
 
@@ -119,7 +119,7 @@ def build_argument_dataset(documents, gold, lexicon):
         for node, vector in _node_candidates(candidate, chain, features):
             label = gold_constituent_label(node, sentence,
                                            rel.arg1_tokens, rel.arg2_tokens)
-            instances.append(Instance(vector.as_features(), label.value))
+            instances.append(Instance(vector, label.value))
     if skipped:
         logger.warning("%d gold connectives skipped during training", skipped)
     return instances
@@ -216,5 +216,6 @@ def load_model(path):
             usage_tree=tree_from_json(data["usage_tree"]),
             argument_tree=tree_from_json(data["argument_tree"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"model file '{path}' is incomplete: {exc}") from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelFormatError(
+            f"model file '{path}' is incomplete or malformed: {exc}") from exc

@@ -43,18 +43,18 @@ def test_golden_connective_and_node_features():
     chain = exact_cover_chain(sentence.tree,
                               (candidate.token_begin, candidate.token_end))
     conn = extract_connective_features(candidate, sentence, chain)
-    assert conn.conn_lowercase == "when"
-    assert conn.case_category == "all lowercase"
-    assert conn.self_cat == "WRB"
-    assert conn.self_cat_parent == "WHADVP"
-    assert conn.self_cat_left_sibling == "null"
-    assert conn.self_cat_right_sibling == "S"
+    assert conn["conn_lowercase"] == "when"
+    assert conn["case_category"] == "all lowercase"
+    assert conn["self_cat"] == "WRB"
+    assert conn["self_cat_parent"] == "WHADVP"
+    assert conn["self_cat_left_sibling"] == "null"
+    assert conn["self_cat_right_sibling"] == "S"
 
     sbar = next(n for n in sentence.tree.walk() if n.label == "SBAR")
     clause = sbar.children[1]
     node = extract_node_features(clause, candidate, conn, chain[-1])
-    assert node.path_to_self_cat == "S ↑ SBAR ↓ WHADVP"
-    assert node.node_context == "S-SBAR-WHADVP-null"
+    assert node["path_to_self_cat"] == "S ↑ SBAR ↓ WHADVP"
+    assert node["node_context"] == "S-SBAR-WHADVP-null"
     _passed("golden connective and node features", started, 1.0)
 
 

@@ -94,18 +94,31 @@ def test_node_features_for_subordinate_clause(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
     vector = _node_features(parts["s2"], _when_candidate(reference_document), sentence)
-    assert vector.path_to_self_cat == "S ↑ SBAR ↓ WHADVP"
-    assert vector.node_context == "S-SBAR-WHADVP-null"
-    assert vector.node_position == POSITION_RIGHT
-    assert vector.conn_lowercase == "when"
-    assert len(vector.as_features()) == 9
+    assert vector["path_to_self_cat"] == "S ↑ SBAR ↓ WHADVP"
+    assert vector["node_context"] == "S-SBAR-WHADVP-null"
+    assert vector["node_position"] == POSITION_RIGHT
+    assert vector["conn_lowercase"] == "when"
+    assert len(vector) == 9
 
 
 def test_node_position_left_of_connective(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
     vector = _node_features(parts["np1"], _when_candidate(reference_document), sentence)
-    assert vector.node_position == POSITION_LEFT
+    assert vector["node_position"] == POSITION_LEFT
+
+
+def test_node_features_copy_the_connective_features(reference_document):
+    sentence = reference_document.sentences[0]
+    candidate = _when_candidate(reference_document)
+    chain = exact_cover_chain(sentence.tree,
+                              (candidate.token_begin, candidate.token_end))
+    features = extract_connective_features(candidate, sentence, chain)
+    before = dict(features)
+    vectors = [extract_node_features(node, candidate, features, chain[-1])
+               for node in prune_candidates(chain[0])]
+    assert features == before
+    assert all(vector is not features and len(vector) == 9 for vector in vectors)
 
 
 def test_classify_constituents_single_leaf(reference_document):

@@ -219,14 +219,6 @@ def test_model_version_mismatch_exits_nonzero(corpus_on_disk,
     assert "format_version" in capsys.readouterr().err
 
 
-def test_disco_log_env_overrides_flag(monkeypatch):
-    from discoparse.cli import _log_level_name
-    monkeypatch.delenv("DISCO_LOG", raising=False)
-    assert _log_level_name("warning") == "warning"
-    monkeypatch.setenv("DISCO_LOG", "DEBUG")
-    assert _log_level_name("warning") == "debug"
-
-
 def test_min_leaf_must_be_positive(corpus_on_disk, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["train", "--relations", str(corpus_on_disk / "relations.jsonl"),

@@ -98,12 +98,12 @@ def _features(cand, sentence):
 def test_reference_feature_vector(reference_document):
     cand, = find_candidates(reference_document, _lexicon("when"))
     features = _features(cand, reference_document.sentences[0])
-    assert features.conn_lowercase == "when"
-    assert features.case_category == CASE_LOWER
-    assert features.self_cat == "WRB"
-    assert features.self_cat_parent == "WHADVP"
-    assert features.self_cat_left_sibling == "null"
-    assert features.self_cat_right_sibling == "S"
+    assert features["conn_lowercase"] == "when"
+    assert features["case_category"] == CASE_LOWER
+    assert features["self_cat"] == "WRB"
+    assert features["self_cat_parent"] == "WHADVP"
+    assert features["self_cat_left_sibling"] == "null"
+    assert features["self_cat_right_sibling"] == "S"
 
 
 def test_feature_extraction_is_pure(reference_document):
@@ -145,7 +145,7 @@ def test_classify_usage_with_separating_tree(reference_document):
     # A right sibling S perfectly predicts discourse usage in this fixture.
     cand, = find_candidates(reference_document, _lexicon("when"))
     features = _features(cand, reference_document.sentences[0])
-    base = features.as_features()
+    base = dict(features)
     negative = dict(base, self_cat_right_sibling="NP")
     dataset = [Instance(base, USAGE_POSITIVE),
                Instance(dict(base), USAGE_POSITIVE),
@@ -158,7 +158,7 @@ def test_classify_usage_with_separating_tree(reference_document):
 def test_unseen_connective_value_falls_through_majority(reference_document):
     cand, = find_candidates(reference_document, _lexicon("when"))
     features = _features(cand, reference_document.sentences[0])
-    base = features.as_features()
+    base = dict(features)
     dataset = ([Instance(dict(base, conn_lowercase="until"), USAGE_POSITIVE)] * 3
                + [Instance(dict(base, conn_lowercase="so"), USAGE_NEGATIVE)] * 2)
     tree = train(dataset, min_leaf=1)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from discoparse import export_relations, load_parses, load_relations
+from discoparse import (export_relations, load_parses, load_relations,
+                        mine_lexicon, score)
 from discoparse.corpus_io import DiscourseRelation, normalize_ptb_escapes
 from discoparse.errors import (AlignmentError, ExportError, InputFormatError,
                                MissingDocumentError)
@@ -163,6 +164,16 @@ def test_load_relations_unknown_type():
     assert "Nope" in str(excinfo.value)
 
 
+def test_load_relations_infinite_id():
+    # Python's json module reads the non-standard literal Infinity.
+    line = ('{"DocID": "d", "ID": Infinity, "Type": "Explicit", "Sense": ["x"], '
+            '"Connective": {"TokenList": [0]}, "Arg1": {"TokenList": [1]}, '
+            '"Arg2": {"TokenList": [2]}}')
+    with pytest.raises(InputFormatError) as excinfo:
+        load_relations(line.encode())
+    assert "line 1" in str(excinfo.value)
+
+
 def test_export_reference_relation(reference_document):
     ref = fixture_corpus.REFERENCE_RELATION
     rel = DiscourseRelation("ex01", 0, "Explicit", ref["connective"],
@@ -254,3 +265,73 @@ def test_export_out_of_range_index(reference_document):
     rel = DiscourseRelation("ex01", 0, "Explicit", (99,), (0,), (1,), ("x",))
     with pytest.raises(ExportError):
         export_relations([rel], {"ex01": reference_document})
+
+
+# Substituted, one at a time, for every field of a valid input.
+MUTANTS = [None, True, 0, -1, 1.5, "", "x", [], [1], {}, 10**9]
+
+
+def _field_paths(value, prefix=()):
+    """Key/index paths to every value nested in a JSON value, itself first."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _substituted(value, path, new):
+    """Copy of value with the field at path replaced by new."""
+    if not path:
+        return new
+    head = path[0]
+    clone = dict(value) if isinstance(value, dict) else list(value)
+    clone[head] = _substituted(value[head], path[1:], new)
+    return clone
+
+
+def _mutation_failures(value, run):
+    """(path, mutant, exception) for every one-field mutation of value
+    on which run raises anything but an InputFormatError, the
+    DiscoParseError that the CLI reports with exit code 2."""
+    failures = []
+    for path in _field_paths(value):
+        for mutant in MUTANTS:
+            try:
+                run(_substituted(value, path, mutant))
+            except InputFormatError:
+                pass
+            except Exception as exc:
+                failures.append((path, mutant, repr(exc)))
+    return failures
+
+
+def test_one_field_mutations_of_a_document_are_input_errors():
+    parses, raw = fixture_corpus.corpus_parses_and_raw()
+
+    def run(document):
+        load_parses(json.dumps({"fix01": document}).encode(), raw)
+
+    failures = _mutation_failures(parses["fix01"], run)
+    assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
+
+
+def test_one_field_mutations_of_a_gold_line_are_input_errors(
+        corpus_documents, corpus_gold):
+    lines = export_relations(corpus_gold, corpus_documents,
+                             conll_tokenlist=True).decode().splitlines()
+    gold = load_relations("\n".join(lines).encode())
+
+    def run(first):
+        relations = load_relations(
+            "\n".join([json.dumps(first)] + lines[1:]).encode())
+        score(gold, relations)
+        score(relations, gold)
+        mine_lexicon(relations, corpus_documents)
+
+    failures = _mutation_failures(json.loads(lines[0]), run)
+    assert not failures, f"{len(failures)} failures, first: {failures[:5]}"

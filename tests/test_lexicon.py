@@ -84,6 +84,17 @@ def test_mine_empty_connective_is_data_error(corpus_documents):
     assert "7" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("index", [-1, 25, 10**9])
+def test_mine_connective_outside_document_is_data_error(corpus_documents,
+                                                        index):
+    # fix01 has 25 tokens; a negative index must not read from the end.
+    assert len(corpus_documents["fix01"].all_tokens()) == 25
+    gold = [_explicit("fix01", 7, (index,), "Temporal.Synchrony")]
+    with pytest.raises(DataError) as excinfo:
+        mine_lexicon(gold, corpus_documents)
+    assert "out of range" in str(excinfo.value)
+
+
 def test_most_frequent_sense_single_observation():
     lexicon = ConnectiveLexicon({"until": ConnectiveStats(
         1, {"Temporal.Asynchronous.Precedence": 1})})

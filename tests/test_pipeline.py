@@ -166,6 +166,25 @@ def test_model_version_mismatch(tmp_path, trained):
     assert "format_version" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("field", ["tree-children", "lexicon-entries"])
+def test_model_with_a_list_for_a_mapping_is_a_format_error(tmp_path, trained,
+                                                           field):
+    _, _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    if field == "tree-children":
+        branch = next(tree for tree in (data["usage_tree"], data["argument_tree"])
+                      if tree["kind"] == "branch")
+        branch["children"] = list(branch["children"].values())
+    else:
+        data["lexicon"]["entries"] = list(data["lexicon"]["entries"].values())
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert "malformed" in str(excinfo.value)
+
+
 def test_annotate_sense_single_observation():
     lexicon = ConnectiveLexicon({"when": ConnectiveStats(
         1, {"Temporal.Asynchronous.Precedence": 1})})
