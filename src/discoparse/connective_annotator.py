@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision_tree import predict
-from .parse_tree import NULL_LABEL
+from .parse_tree import label_or_null
 
 USAGE_POSITIVE = "discourse"
 USAGE_NEGATIVE = "non-discourse"
@@ -70,10 +70,6 @@ def case_category(surface):
     return CASE_MIXED
 
 
-def _label_or_null(node):
-    return node.label if node is not None else NULL_LABEL
-
-
 def extract_connective_features(candidate, sentence, chain):
     """The six named connective features of one candidate, as a dict.
 
@@ -91,9 +87,9 @@ def extract_connective_features(candidate, sentence, chain):
         "conn_lowercase": candidate.surface,
         "case_category": case_category(raw),
         "self_cat": bottom.label,
-        "self_cat_parent": _label_or_null(bottom.parent),
-        "self_cat_left_sibling": _label_or_null(top.left_sibling),
-        "self_cat_right_sibling": _label_or_null(top.right_sibling),
+        "self_cat_parent": label_or_null(bottom.parent),
+        "self_cat_left_sibling": label_or_null(top.left_sibling),
+        "self_cat_right_sibling": label_or_null(top.right_sibling),
     }
 
 

@@ -41,8 +41,8 @@ def mine_lexicon(gold, documents):
 
     Each relation adds one occurrence to its connective entry and one count
     per listed sense. Non-explicit relations are skipped; an explicit
-    relation without connective tokens, or with one outside its document,
-    is a data error.
+    relation without connective tokens or senses, or with a connective
+    token outside its document, is a data error.
     """
     entries = {}
     token_cache = {}
@@ -52,6 +52,8 @@ def mine_lexicon(gold, documents):
         if not rel.connective_tokens:
             raise DataError(
                 f"explicit relation {rel.relation_id} has no connective tokens")
+        if not rel.senses:
+            raise DataError(f"explicit relation {rel.relation_id} has no sense")
         if rel.doc_id not in documents:
             raise MissingDocumentError(
                 f"relation {rel.relation_id}: unknown document '{rel.doc_id}'")
@@ -106,7 +108,12 @@ def lexicon_to_json(lexicon):
 
 
 def lexicon_from_json(data):
-    entries = {key: ConnectiveStats(value["total_count"],
-                                    dict(value["sense_counts"]))
-               for key, value in data["entries"].items()}
+    """Read a lexicon back. An entry without senses could not annotate the
+    relations its matches produce, so it raises ValueError."""
+    entries = {}
+    for key, value in data["entries"].items():
+        if not value["sense_counts"]:
+            raise ValueError(f"lexicon entry '{key}' has no senses")
+        entries[key] = ConnectiveStats(value["total_count"],
+                                       dict(value["sense_counts"]))
     return ConnectiveLexicon(entries)

@@ -180,14 +180,16 @@ def load_relations(relations_jsonl):
 def _relation_from_json(obj, line_number):
     try:
         doc_id = obj["DocID"]
-        relation_id = int(obj["ID"])
+        relation_id = obj["ID"]
         relation_type = obj["Type"]
         senses = obj["Sense"]
         spans = {name: obj[name] for name in ("Connective", "Arg1", "Arg2")}
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+    except (TypeError, KeyError) as exc:
         raise InputFormatError(f"line {line_number}: missing or malformed field: {exc}") from exc
     if not isinstance(doc_id, str):
         raise InputFormatError(f"line {line_number}: DocID must be a string")
+    if type(relation_id) is not int:
+        raise InputFormatError(f"line {line_number}: ID must be an integer")
     if not isinstance(relation_type, str) or relation_type not in RELATION_TYPES:
         raise InputFormatError(
             f"line {line_number}: unknown relation type {relation_type!r}")

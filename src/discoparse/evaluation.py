@@ -4,7 +4,7 @@ Four dimensions are reported: connective identification, Arg1, Arg2 and the
 full relation. Matching is exact equality of token index sets; argument
 credit requires the connective to match as well, and full-relation credit
 additionally requires a sense match. Pairing is greedy one-to-one in
-document order.
+document order, over predictions indexed by document and matched spans.
 """
 
 from __future__ import annotations
@@ -34,34 +34,11 @@ def _prf(tp, predicted, gold):
     return PRF(precision, recall, f1, tp, predicted, gold)
 
 
-def _connective_match(gold_rel, pred_rel):
-    return set(gold_rel.connective_tokens) == set(pred_rel.connective_tokens)
-
-
-def _arg1_match(gold_rel, pred_rel):
-    return (_connective_match(gold_rel, pred_rel)
-            and set(gold_rel.arg1_tokens) == set(pred_rel.arg1_tokens))
-
-
-def _arg2_match(gold_rel, pred_rel):
-    return (_connective_match(gold_rel, pred_rel)
-            and set(gold_rel.arg2_tokens) == set(pred_rel.arg2_tokens))
-
-
-def _relation_match(gold_rel, pred_rel):
-    # A single predicted sense matching any gold sense counts.
-    return (_connective_match(gold_rel, pred_rel)
-            and set(gold_rel.arg1_tokens) == set(pred_rel.arg1_tokens)
-            and set(gold_rel.arg2_tokens) == set(pred_rel.arg2_tokens)
-            and bool(set(gold_rel.senses) & set(pred_rel.senses)))
-
-
-_MATCHERS = {
-    "connective": _connective_match,
-    "arg1": _arg1_match,
-    "arg2": _arg2_match,
-    "relation": _relation_match,
-}
+# Fields of _fields(rel) that must be equal for credit, per dimension:
+# 0 the document, then the token sets of 1 the connective, 2 Arg1, 3 Arg2.
+# Full-relation credit also needs a sense in common.
+_KEY_FIELDS = {"connective": (0, 1), "arg1": (0, 1, 2), "arg2": (0, 1, 3),
+               "relation": (0, 1, 2, 3)}
 
 
 def _check_unique_ids(relations, side):
@@ -75,15 +52,28 @@ def _check_unique_ids(relations, side):
         seen.add(key)
 
 
-def _greedy_true_positives(gold_rels, pred_rels, match):
-    used = set()
+def _fields(rel):
+    return (rel.doc_id, frozenset(rel.connective_tokens),
+            frozenset(rel.arg1_tokens), frozenset(rel.arg2_tokens))
+
+
+def _true_positives(gold_fields, pred_fields, dimension):
+    """Greedy one-to-one pairing: each gold relation, in order, takes the
+    first unused prediction with its key (and, for the full relation, a
+    sense in common). Predictions are indexed by key, in order.
+
+    Both sides are lists of (relation, _fields(relation)).
+    """
+    positions = _KEY_FIELDS[dimension]
+    unused = {}
+    for rel, fields in pred_fields:
+        unused.setdefault(tuple(fields[i] for i in positions), []).append(rel)
     tp = 0
-    for gold_rel in gold_rels:
-        for j, pred_rel in enumerate(pred_rels):
-            if j in used:
-                continue
-            if match(gold_rel, pred_rel):
-                used.add(j)
+    for gold_rel, fields in gold_fields:
+        waiting = unused.get(tuple(fields[i] for i in positions), [])
+        for i, pred_rel in enumerate(waiting):
+            if dimension != "relation" or set(gold_rel.senses) & set(pred_rel.senses):
+                del waiting[i]
                 tp += 1
                 break
     return tp
@@ -93,20 +83,9 @@ def score(gold, predicted):
     """PRF per dimension over the explicit relations of both sides."""
     _check_unique_ids(gold, "gold")
     _check_unique_ids(predicted, "predicted")
-    gold_explicit = [r for r in gold if r.relation_type == "Explicit"]
-    pred_explicit = [r for r in predicted if r.relation_type == "Explicit"]
-    by_doc = {}
-    for rel in gold_explicit:
-        by_doc.setdefault(rel.doc_id, ([], []))[0].append(rel)
-    for rel in pred_explicit:
-        by_doc.setdefault(rel.doc_id, ([], []))[1].append(rel)
-    true_positives = dict.fromkeys(DIMENSIONS, 0)
-    for doc_id in sorted(by_doc):
-        gold_rels, pred_rels = by_doc[doc_id]
-        for dimension, match in _MATCHERS.items():
-            true_positives[dimension] += _greedy_true_positives(
-                gold_rels, pred_rels, match)
-    return {dimension: _prf(true_positives[dimension],
+    gold_explicit = [(r, _fields(r)) for r in gold if r.relation_type == "Explicit"]
+    pred_explicit = [(r, _fields(r)) for r in predicted if r.relation_type == "Explicit"]
+    return {dimension: _prf(_true_positives(gold_explicit, pred_explicit, dimension),
                             len(pred_explicit), len(gold_explicit))
             for dimension in DIMENSIONS}
 

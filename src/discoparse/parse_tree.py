@@ -21,13 +21,13 @@ class ConstituentNode:
     """One node of a constituency tree.
 
     Terminals carry the token surface as their label; the POS tag is the
-    label of the terminal's parent. Children, parents, covered token ranges
-    and node ids are filled in once by parse_ptb; trees are never mutated
-    after that, so they are safe to share between threads.
+    label of the terminal's parent. Children, parents and covered token
+    ranges are filled in once by parse_ptb; trees are never mutated after
+    that, so they are safe to share between threads.
     """
 
     __slots__ = ("label", "children", "is_terminal", "parent",
-                 "token_begin", "token_end", "node_id", "_child_index")
+                 "token_begin", "token_end", "_child_index")
 
     def __init__(self, label, is_terminal=False):
         self.label = label
@@ -36,7 +36,6 @@ class ConstituentNode:
         self.parent = None
         self.token_begin = -1
         self.token_end = -1
-        self.node_id = -1
         self._child_index = -1
 
     @property
@@ -104,8 +103,8 @@ def _char_position(text, token_index):
 
 def _parse_tokens(text, tokens):
     """Build the tree of the bracketing that starts at tokens[0], a '(',
-    in one pass: parents, child indices, pre-order ids and covered token
-    spans are set as nodes open and close.
+    in one pass: parents, child indices and covered token spans are set
+    as nodes open and close.
 
     Returns the root and the index of the first token after it. Open nodes
     wait on an explicit stack as (node, label, token index), so nesting
@@ -114,7 +113,6 @@ def _parse_tokens(text, tokens):
     size = len(tokens)
     stack = []
     index = 0
-    next_id = 0
     next_leaf = 0
     while True:
         value = tokens[index]
@@ -144,8 +142,6 @@ def _parse_tokens(text, tokens):
                 node.token_begin = next_leaf
                 node.token_end = next_leaf + 1
                 next_leaf += 1
-            node.node_id = next_id
-            next_id += 1
             if stack:
                 parent = stack[-1][0]
                 node.parent = parent
@@ -252,13 +248,15 @@ def render_path(source, target):
     return rendered
 
 
+def label_or_null(node):
+    """The node's label, or the literal text "null" for an absent node."""
+    return node.label if node is not None else NULL_LABEL
+
+
 def node_context(node):
     """(label, parent label, left sibling label, right sibling label).
 
     Absent relatives are rendered as the literal text "null".
     """
-    def label_of(n):
-        return n.label if n is not None else NULL_LABEL
-
-    return (node.label, label_of(node.parent),
-            label_of(node.left_sibling), label_of(node.right_sibling))
+    return (node.label, label_or_null(node.parent),
+            label_or_null(node.left_sibling), label_or_null(node.right_sibling))

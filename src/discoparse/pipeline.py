@@ -1,11 +1,12 @@
 """End-to-end orchestration: training and parsing.
 
-Training mines the connective lexicon from gold relations, builds the two
-classifier datasets (usage from lexicon matches aligned to gold connective
-spans, argument labels from gold spans projected onto pruned constituents)
-and induces both trees. Parsing runs candidates through the usage filter,
-labels and merges arguments, and annotates the most frequent sense; later
-stages only ever see survivors of earlier ones.
+Training mines the connective lexicon from gold relations, builds both
+classifier datasets in one pass over each document's lexicon matches (usage
+labels from gold connective spans, argument labels from gold argument spans
+projected onto the pruned constituents of gold-matched candidates) and
+induces both trees. Parsing makes the same pass: it runs candidates through
+the usage filter, labels and merges arguments, and annotates the most
+frequent sense; later stages only ever see survivors of earlier ones.
 """
 
 from __future__ import annotations
@@ -64,65 +65,47 @@ def _node_candidates(candidate, chain, features):
             for node in prune_candidates(chain[0])]
 
 
-def _gold_connective_spans(gold):
-    spans = {}
-    for rel in gold:
-        if rel.relation_type == "Explicit":
-            spans.setdefault(rel.doc_id, set()).add(tuple(sorted(rel.connective_tokens)))
-    return spans
+def build_datasets(documents, gold, lexicon):
+    """(usage instances, argument instances) from one walk over each
+    document's lexicon matches, the same walk parse_document makes.
 
-
-def build_usage_dataset(documents, gold, lexicon):
-    """One instance per lexicon match; positive iff the match coincides
-    with a gold explicit connective span.
+    Each match gives one usage instance, positive iff gold explicit
+    relations sit on its span. The pruned constituents of a positive match
+    are labeled once per gold relation on that span, by projecting the
+    relation's argument spans. Gold connectives the matcher does not
+    reproduce (discontiguous spans, tokenization mismatches) are skipped
+    with a warning each, in gold order.
     """
-    gold_spans = _gold_connective_spans(gold)
-    instances = []
+    explicit = [((rel.doc_id, tuple(sorted(rel.connective_tokens))), rel)
+                for rel in gold if rel.relation_type == "Explicit"]
+    # A candidate takes the relations on its span out; the rest never match.
+    unmatched = {}
+    for key, rel in explicit:
+        unmatched.setdefault(key, []).append(rel)
+    usage, argument = [], []
     for doc_id, document in documents.items():
-        doc_spans = gold_spans.get(doc_id, set())
         for candidate in find_candidates(document, lexicon):
             sentence = document.sentences[candidate.sent_index]
-            span = _candidate_span(candidate, document)
-            label = USAGE_POSITIVE if span in doc_spans else USAGE_NEGATIVE
-            _, features = _connective_syntax(candidate, sentence)
-            instances.append(Instance(features, label))
-    return instances
-
-
-def build_argument_dataset(documents, gold, lexicon):
-    """Gold argument spans projected onto the pruned candidates of each
-    reproducible gold connective. Gold connectives the matcher cannot
-    reproduce (discontiguous spans, tokenization mismatches) are skipped
-    with a warning.
-    """
-    candidate_index = {}
-    for doc_id, document in documents.items():
-        candidate_index[doc_id] = {
-            _candidate_span(c, document): c
-            for c in find_candidates(document, lexicon)}
-    instances = []
-    skipped = 0
-    for rel in gold:
-        if rel.relation_type != "Explicit":
-            continue
-        document = documents[rel.doc_id]
-        candidate = candidate_index[rel.doc_id].get(tuple(sorted(rel.connective_tokens)))
-        if candidate is None:
-            skipped += 1
-            logger.warning(
-                "relation %s in '%s': gold connective span %s not reproduced "
-                "by the matcher; skipped",
-                rel.relation_id, rel.doc_id, rel.connective_tokens)
-            continue
-        sentence = document.sentences[candidate.sent_index]
-        chain, features = _connective_syntax(candidate, sentence)
-        for node, vector in _node_candidates(candidate, chain, features):
-            label = gold_constituent_label(node, sentence,
-                                           rel.arg1_tokens, rel.arg2_tokens)
-            instances.append(Instance(vector, label.value))
+            chain, features = _connective_syntax(candidate, sentence)
+            relations = unmatched.pop(
+                (doc_id, _candidate_span(candidate, document)), None)
+            usage.append(Instance(features, USAGE_POSITIVE if relations
+                                  else USAGE_NEGATIVE))
+            if relations:
+                pairs = _node_candidates(candidate, chain, features)
+                argument.extend(
+                    Instance(vector, gold_constituent_label(
+                        node, sentence, rel.arg1_tokens, rel.arg2_tokens).value)
+                    for rel in relations for node, vector in pairs)
+    skipped = [rel for key, rel in explicit if key in unmatched]
+    for rel in skipped:
+        logger.warning(
+            "relation %s in '%s': gold connective span %s not reproduced "
+            "by the matcher; skipped",
+            rel.relation_id, rel.doc_id, rel.connective_tokens)
     if skipped:
-        logger.warning("%d gold connectives skipped during training", skipped)
-    return instances
+        logger.warning("%d gold connectives skipped during training", len(skipped))
+    return usage, argument
 
 
 def train_model(documents, gold_relations, min_leaf=2):
@@ -133,10 +116,9 @@ def train_model(documents, gold_relations, min_leaf=2):
     lexicon = mine_lexicon(gold, documents)
     if not lexicon.entries:
         raise TrainingError("gold data contains no explicit relations")
-    usage_dataset = build_usage_dataset(documents, gold, lexicon)
+    usage_dataset, argument_dataset = build_datasets(documents, gold, lexicon)
     if not usage_dataset:
         raise TrainingError("no connective candidates in the training documents")
-    argument_dataset = build_argument_dataset(documents, gold, lexicon)
     if not argument_dataset:
         raise TrainingError("no argument-labeling instances could be built")
     logger.info("training: %d usage instances, %d argument instances",

@@ -3,11 +3,24 @@
 The leaf extractor, the entropy calculator, the whole-tree cover search
 and the brute-force pruning filter re-derive their answers from first
 principles so the tests they feed do not lean on the code paths under test.
+The scanning scorer and the two training-set builders are earlier versions
+of package code, kept as references that the current versions must agree
+with.
 """
 
+import logging
 import math
 import re
 from collections import Counter
+
+from discoparse.argument_labeler import gold_constituent_label
+from discoparse.connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
+                                             find_candidates)
+from discoparse.decision_tree import Instance
+from discoparse.pipeline import (_candidate_span, _connective_syntax,
+                                 _node_candidates)
+
+logger = logging.getLogger(__name__)
 
 _SEXPR_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
@@ -142,3 +155,133 @@ def random_tree_text(rng, max_depth=8, max_branch=4):
     width = rng.randint(2, max_branch)
     children = " ".join(grow(1) for _ in range(width))
     return f"(S {children})"
+
+
+# The scorer's pairing before predictions were indexed by key, kept as the
+# oracle: every gold relation scans every prediction of its document.
+
+def _connective_match(gold_rel, pred_rel):
+    return set(gold_rel.connective_tokens) == set(pred_rel.connective_tokens)
+
+
+def _arg1_match(gold_rel, pred_rel):
+    return (_connective_match(gold_rel, pred_rel)
+            and set(gold_rel.arg1_tokens) == set(pred_rel.arg1_tokens))
+
+
+def _arg2_match(gold_rel, pred_rel):
+    return (_connective_match(gold_rel, pred_rel)
+            and set(gold_rel.arg2_tokens) == set(pred_rel.arg2_tokens))
+
+
+def _relation_match(gold_rel, pred_rel):
+    # A single predicted sense matching any gold sense counts.
+    return (_connective_match(gold_rel, pred_rel)
+            and set(gold_rel.arg1_tokens) == set(pred_rel.arg1_tokens)
+            and set(gold_rel.arg2_tokens) == set(pred_rel.arg2_tokens)
+            and bool(set(gold_rel.senses) & set(pred_rel.senses)))
+
+
+_MATCHERS = {
+    "connective": _connective_match,
+    "arg1": _arg1_match,
+    "arg2": _arg2_match,
+    "relation": _relation_match,
+}
+
+
+def _greedy_true_positives(gold_rels, pred_rels, match):
+    used = set()
+    tp = 0
+    for gold_rel in gold_rels:
+        for j, pred_rel in enumerate(pred_rels):
+            if j in used:
+                continue
+            if match(gold_rel, pred_rel):
+                used.add(j)
+                tp += 1
+                break
+    return tp
+
+
+def greedy_true_positives(gold, predicted):
+    """dimension -> true positives over the explicit relations of both
+    sides, paired greedily per document by scanning."""
+    gold_explicit = [r for r in gold if r.relation_type == "Explicit"]
+    pred_explicit = [r for r in predicted if r.relation_type == "Explicit"]
+    by_doc = {}
+    for rel in gold_explicit:
+        by_doc.setdefault(rel.doc_id, ([], []))[0].append(rel)
+    for rel in pred_explicit:
+        by_doc.setdefault(rel.doc_id, ([], []))[1].append(rel)
+    true_positives = dict.fromkeys(_MATCHERS, 0)
+    for doc_id in sorted(by_doc):
+        gold_rels, pred_rels = by_doc[doc_id]
+        for dimension, match in _MATCHERS.items():
+            true_positives[dimension] += _greedy_true_positives(
+                gold_rels, pred_rels, match)
+    return true_positives
+
+
+# The two dataset builders training used before one pass built both, kept
+# as the reference: each runs find_candidates over every document.
+
+def _gold_connective_spans(gold):
+    spans = {}
+    for rel in gold:
+        if rel.relation_type == "Explicit":
+            spans.setdefault(rel.doc_id, set()).add(tuple(sorted(rel.connective_tokens)))
+    return spans
+
+
+def build_usage_dataset(documents, gold, lexicon):
+    """One instance per lexicon match; positive iff the match coincides
+    with a gold explicit connective span.
+    """
+    gold_spans = _gold_connective_spans(gold)
+    instances = []
+    for doc_id, document in documents.items():
+        doc_spans = gold_spans.get(doc_id, set())
+        for candidate in find_candidates(document, lexicon):
+            sentence = document.sentences[candidate.sent_index]
+            span = _candidate_span(candidate, document)
+            label = USAGE_POSITIVE if span in doc_spans else USAGE_NEGATIVE
+            _, features = _connective_syntax(candidate, sentence)
+            instances.append(Instance(features, label))
+    return instances
+
+
+def build_argument_dataset(documents, gold, lexicon):
+    """Gold argument spans projected onto the pruned candidates of each
+    reproducible gold connective. Gold connectives the matcher cannot
+    reproduce (discontiguous spans, tokenization mismatches) are skipped
+    with a warning.
+    """
+    candidate_index = {}
+    for doc_id, document in documents.items():
+        candidate_index[doc_id] = {
+            _candidate_span(c, document): c
+            for c in find_candidates(document, lexicon)}
+    instances = []
+    skipped = 0
+    for rel in gold:
+        if rel.relation_type != "Explicit":
+            continue
+        document = documents[rel.doc_id]
+        candidate = candidate_index[rel.doc_id].get(tuple(sorted(rel.connective_tokens)))
+        if candidate is None:
+            skipped += 1
+            logger.warning(
+                "relation %s in '%s': gold connective span %s not reproduced "
+                "by the matcher; skipped",
+                rel.relation_id, rel.doc_id, rel.connective_tokens)
+            continue
+        sentence = document.sentences[candidate.sent_index]
+        chain, features = _connective_syntax(candidate, sentence)
+        for node, vector in _node_candidates(candidate, chain, features):
+            label = gold_constituent_label(node, sentence,
+                                           rel.arg1_tokens, rel.arg2_tokens)
+            instances.append(Instance(vector, label.value))
+    if skipped:
+        logger.warning("%d gold connectives skipped during training", skipped)
+    return instances

@@ -92,6 +92,26 @@ def test_train_reports_training_errors(corpus_on_disk, tmp_path, capsys,
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_rejects_explicit_relation_without_sense(corpus_on_disk,
+                                                       tmp_path, capsys):
+    # Such a relation would train a lexicon entry without senses, which
+    # parsing could only meet with an internal error.
+    lines = (corpus_on_disk / "relations.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first["Sense"] = []
+    relations = tmp_path / "relations.jsonl"
+    relations.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n",
+                         encoding="utf-8")
+    code = main(["train", "--relations", str(relations),
+                 "--parses", str(corpus_on_disk / "parses.json"),
+                 "--raw", str(corpus_on_disk / "raw"),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: explicit relation {first['ID']} has no sense"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_parse_reproduces_gold(corpus_on_disk, trained_model_path, tmp_path):
     out = tmp_path / "output.jsonl"
     code = main(["parse",

@@ -174,6 +174,17 @@ def test_load_relations_infinite_id():
     assert "line 1" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("relation_id", [1.5, True, False, "7"])
+def test_load_relations_non_integer_id(relation_id):
+    # int() would read these as 1, 1, 0 and 7.
+    line = json.dumps({"DocID": "d", "ID": relation_id, "Type": "Explicit",
+                       "Sense": ["x"], "Connective": {"TokenList": [0]},
+                       "Arg1": {"TokenList": [1]}, "Arg2": {"TokenList": [2]}})
+    with pytest.raises(InputFormatError) as excinfo:
+        load_relations(line.encode())
+    assert "ID must be an integer" in str(excinfo.value)
+
+
 def test_export_reference_relation(reference_document):
     ref = fixture_corpus.REFERENCE_RELATION
     rel = DiscourseRelation("ex01", 0, "Explicit", ref["connective"],

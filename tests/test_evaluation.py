@@ -4,7 +4,9 @@ import pytest
 
 from discoparse import DiscourseRelation, score
 from discoparse.errors import InputFormatError
-from discoparse.evaluation import DIMENSIONS, format_table, report_dict
+from discoparse.evaluation import DIMENSIONS, _prf, format_table, report_dict
+
+from support import greedy_true_positives
 
 
 def _rel(doc_id, rel_id, conn, arg1, arg2, senses=("S.A",), rtype="Explicit"):
@@ -137,3 +139,35 @@ def test_report_forms():
                                 "tp": 3, "predicted": 3, "gold": 3}
     table = format_table(scores)
     assert "connective" in table and "1.0000" in table
+
+
+def _random_relations(rng, spans, count):
+    """Relations over few documents and the given few spans, so that spans
+    repeat; token lists come shuffled and senses are drawn one to three at
+    a time."""
+    next_id = {}
+    relations = []
+    for _ in range(count):
+        doc_id = rng.choice(["d1", "d2"])
+        next_id[doc_id] = next_id.get(doc_id, 0) + 1
+        conn, arg1, arg2 = (rng.sample(span, len(span))
+                            for span in rng.choices(spans, k=3))
+        senses = rng.sample(["S.A", "S.B", "S.C"], rng.randint(1, 3))
+        rtype = rng.choice(["Explicit"] * 4 + ["EntRel"])
+        relations.append(_rel(doc_id, next_id[doc_id], conn, arg1, arg2,
+                              senses, rtype))
+    return relations
+
+
+def test_indexed_pairing_matches_greedy_scan():
+    rng = random.Random(2015)
+    for _ in range(500):
+        spans = [tuple(rng.sample(range(6), rng.randint(1, 2))) for _ in range(2)]
+        gold = _random_relations(rng, spans, rng.randint(0, 12))
+        predicted = _random_relations(rng, spans, rng.randint(0, 12))
+        tp = greedy_true_positives(gold, predicted)
+        n_gold = sum(rel.relation_type == "Explicit" for rel in gold)
+        n_pred = sum(rel.relation_type == "Explicit" for rel in predicted)
+        assert score(gold, predicted) == {
+            dimension: _prf(tp[dimension], n_pred, n_gold)
+            for dimension in DIMENSIONS}

@@ -84,6 +84,13 @@ def test_mine_empty_connective_is_data_error(corpus_documents):
     assert "7" in str(excinfo.value)
 
 
+def test_mine_explicit_without_sense_is_data_error(corpus_documents):
+    gold = [_explicit("fix01", 7, (5,), ())]
+    with pytest.raises(DataError) as excinfo:
+        mine_lexicon(gold, corpus_documents)
+    assert "relation 7 has no sense" in str(excinfo.value)
+
+
 @pytest.mark.parametrize("index", [-1, 25, 10**9])
 def test_mine_connective_outside_document_is_data_error(corpus_documents,
                                                         index):

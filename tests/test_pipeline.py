@@ -1,20 +1,25 @@
 import json
 import logging
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from discoparse import (DiscourseRelation, annotate_sense, load_parses,
-                        mine_lexicon, parse_document, score, train_model)
+import discoparse.pipeline
+
+from discoparse import (DiscourseRelation, annotate_sense, exact_cover_chain,
+                        find_candidates, load_parses, mine_lexicon,
+                        parse_document, score, train_model)
 from discoparse.argument_labeler import ConstituentLabel
 from discoparse.connective_annotator import USAGE_POSITIVE
 from discoparse.connective_lexicon import ConnectiveLexicon, ConnectiveStats
 from discoparse.errors import (DiscoParseError, ModelFormatError,
                                TrainingError)
-from discoparse.pipeline import (build_argument_dataset,
-                                 build_usage_dataset, load_model, save_model)
+from discoparse.pipeline import build_datasets, load_model, save_model
 
 import fixture_corpus
-from support import build_document_json
+from support import (build_argument_dataset, build_document_json,
+                     build_usage_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +32,7 @@ def trained():
 
 def test_usage_dataset_counts(corpus_documents, corpus_gold):
     lexicon = mine_lexicon(corpus_gold, corpus_documents)
-    dataset = build_usage_dataset(corpus_documents, corpus_gold, lexicon)
+    dataset, _ = build_datasets(corpus_documents, corpus_gold, lexicon)
     # 12 gold connectives plus the two planted non-discourse occurrences.
     assert len(dataset) == 14
     positives = [inst for inst in dataset if inst.label == USAGE_POSITIVE]
@@ -36,7 +41,7 @@ def test_usage_dataset_counts(corpus_documents, corpus_gold):
 
 def test_argument_dataset_covers_every_relation(corpus_documents, corpus_gold):
     lexicon = mine_lexicon(corpus_gold, corpus_documents)
-    dataset = build_argument_dataset(corpus_documents, corpus_gold, lexicon)
+    _, dataset = build_datasets(corpus_documents, corpus_gold, lexicon)
     assert dataset
     labels = {inst.label for inst in dataset}
     assert labels == {label.value for label in ConstituentLabel}
@@ -109,9 +114,85 @@ def test_unmatchable_gold_connective_is_skipped(corpus_documents, corpus_gold,
     gold = corpus_gold + [broken]
     lexicon = mine_lexicon(gold, corpus_documents)
     with caplog.at_level(logging.WARNING, logger="discoparse.pipeline"):
-        dataset = build_argument_dataset(corpus_documents, gold, lexicon)
+        _, dataset = build_datasets(corpus_documents, gold, lexicon)
     assert dataset
     assert any("90" in record.message for record in caplog.records)
+
+
+def _extended_gold(corpus_gold):
+    """Fixture gold plus a duplicated explicit relation, a discontiguous
+    connective the matcher cannot reproduce, and an EntRel."""
+    first = corpus_gold[0]
+    return corpus_gold + [
+        DiscourseRelation(first.doc_id, 91, "Explicit", first.connective_tokens,
+                          first.arg1_tokens, first.arg2_tokens, first.senses),
+        DiscourseRelation("fix01", 90, "Explicit", (5, 10), (0, 1, 2, 3, 4),
+                          (6, 7, 8, 9), ("Temporal.Synchrony",)),
+        DiscourseRelation("fix02", 92, "EntRel", (), (0, 1), (2, 3), ("EntRel",)),
+    ]
+
+
+def _multiset(dataset):
+    return Counter((tuple(sorted(inst.features.items())), inst.label)
+                   for inst in dataset)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["fixture", "extended"])
+def test_one_pass_datasets_match_the_two_builders(corpus_documents,
+                                                  corpus_gold, extended):
+    gold = _extended_gold(corpus_gold) if extended else corpus_gold
+    lexicon = mine_lexicon(gold, corpus_documents)
+    usage, argument = build_datasets(corpus_documents, gold, lexicon)
+    assert _multiset(usage) == _multiset(
+        build_usage_dataset(corpus_documents, gold, lexicon))
+    assert _multiset(argument) == _multiset(
+        build_argument_dataset(corpus_documents, gold, lexicon))
+
+
+def test_skipped_connectives_are_warned_in_gold_order(corpus_documents,
+                                                      corpus_gold, caplog):
+    # Relation 93 sits in a later document than 90 but comes first in gold,
+    # and 94 shares its span but comes after 90.
+    gold = _extended_gold(corpus_gold)
+    unmatched = DiscourseRelation("fix03", 93, "Explicit", (0, 4), (1, 2),
+                                  (5, 6), ("Comparison.Contrast",))
+    gold.insert(0, unmatched)
+    gold.append(replace(unmatched, relation_id=94))
+    lexicon = mine_lexicon(gold, corpus_documents)
+    with caplog.at_level(logging.WARNING):
+        build_datasets(corpus_documents, gold, lexicon)
+        ours = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+        build_argument_dataset(corpus_documents, gold, lexicon)
+        reference = [record.getMessage() for record in caplog.records]
+    assert ours == reference
+    assert [message.split()[1] for message in ours[:3]] == ["93", "90", "94"]
+    assert ours[3:] == ["3 gold connectives skipped during training"]
+
+
+def test_training_walks_each_document_once(corpus_documents, corpus_gold,
+                                           monkeypatch):
+    calls = Counter()
+    candidates = Counter()
+
+    def counted_find_candidates(document, lexicon):
+        calls["find_candidates", document.doc_id] += 1
+        found = find_candidates(document, lexicon)
+        candidates["candidates"] += len(found)
+        return found
+
+    def counted_exact_cover_chain(tree, token_range):
+        calls["exact_cover_chain"] += 1
+        return exact_cover_chain(tree, token_range)
+
+    monkeypatch.setattr(discoparse.pipeline, "find_candidates",
+                        counted_find_candidates)
+    monkeypatch.setattr(discoparse.pipeline, "exact_cover_chain",
+                        counted_exact_cover_chain)
+    train_model(corpus_documents, corpus_gold, min_leaf=1)
+    assert calls.pop("exact_cover_chain") == candidates["candidates"] == 14
+    assert calls == {("find_candidates", doc_id): 1
+                     for doc_id in corpus_documents}
 
 
 def test_conflicting_training_data_degrades_gracefully():
@@ -185,6 +266,19 @@ def test_model_with_a_list_for_a_mapping_is_a_format_error(tmp_path, trained,
     assert "malformed" in str(excinfo.value)
 
 
+def test_model_lexicon_entry_without_senses_is_a_format_error(tmp_path,
+                                                              trained):
+    _, _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    data["lexicon"]["entries"]["when"]["sense_counts"] = {}
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert "lexicon entry 'when' has no senses" in str(excinfo.value)
+
+
 def test_annotate_sense_single_observation():
     lexicon = ConnectiveLexicon({"when": ConnectiveStats(
         1, {"Temporal.Asynchronous.Precedence": 1})})
@@ -242,7 +336,6 @@ def test_emitted_relations_satisfy_span_invariants(trained):
 
 
 def test_every_relation_comes_from_a_candidate(trained):
-    from discoparse import find_candidates
     documents, _, model = trained
     for doc in documents.values():
         spans = set()
