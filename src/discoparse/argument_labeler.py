@@ -76,11 +76,6 @@ def classify_constituents(candidates, model):
     return labels
 
 
-def _doc_indices(node, sentence):
-    return {sentence.tokens[i].doc_index
-            for i in range(node.token_begin, node.token_end)}
-
-
 def gold_constituent_label(node, sentence, arg1_tokens, arg2_tokens):
     """Training-side projection of gold argument spans onto a candidate.
 
@@ -88,10 +83,10 @@ def gold_constituent_label(node, sentence, arg1_tokens, arg2_tokens):
     inside that argument's gold span; anything else is labeled None, which
     keeps merging sound.
     """
-    covered = _doc_indices(node, sentence)
-    if covered <= set(arg1_tokens):
+    covered = sentence.doc_span(node.token_begin, node.token_end)
+    if set(arg1_tokens).issuperset(covered):
         return ConstituentLabel.ARG1_PART
-    if covered <= set(arg2_tokens):
+    if set(arg2_tokens).issuperset(covered):
         return ConstituentLabel.ARG2_PART
     return ConstituentLabel.NONE
 
@@ -106,30 +101,29 @@ def merge_arguments(labels, connective, document):
     connective and Arg1 tokens.
     """
     sentence = document.sentences[connective.sent_index]
-    conn_tokens = {sentence.tokens[i].doc_index
-                   for i in range(connective.token_begin, connective.token_end)}
+    conn_tokens = set(sentence.doc_span(connective.token_begin, connective.token_end))
     arg1_nodes = [n for n, label in labels.items() if label is ConstituentLabel.ARG1_PART]
     arg2_nodes = [n for n, label in labels.items() if label is ConstituentLabel.ARG2_PART]
 
     arg2 = set()
     for node in arg2_nodes:
-        arg2 |= _doc_indices(node, sentence)
+        arg2.update(sentence.doc_span(node.token_begin, node.token_end))
     arg2 -= conn_tokens
 
     if arg1_nodes:
         arg1 = set()
         for node in arg1_nodes:
-            arg1 |= _doc_indices(node, sentence)
+            arg1.update(sentence.doc_span(node.token_begin, node.token_end))
         arg1 -= conn_tokens
         arg1 -= arg2
     elif connective.sent_index == 0:
         return None
     else:
         previous = document.sentences[connective.sent_index - 1]
-        arg1 = {token.doc_index for token in previous.tokens}
+        arg1 = set(previous.doc_span(0, len(previous.tokens)))
 
     if not arg2_nodes:
-        arg2 = {token.doc_index for token in sentence.tokens}
+        arg2 = set(sentence.doc_span(0, len(sentence.tokens)))
         arg2 -= conn_tokens
         arg2 -= arg1
 

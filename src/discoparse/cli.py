@@ -77,7 +77,7 @@ def _read_raw_dir(path):
     for name in sorted(os.listdir(path)):
         full = os.path.join(path, name)
         if os.path.isfile(full):
-            with open(full, "r", encoding="utf-8") as handle:
+            with open(full, "r", encoding="utf-8", newline="") as handle:
                 raw[name] = handle.read()
     return raw
 

@@ -24,7 +24,6 @@ CASE_MIXED = "mixed"
 
 @dataclass(frozen=True)
 class ConnectiveCandidate:
-    doc_id: str
     sent_index: int
     token_begin: int  # index_in_sentence, half-open
     token_end: int
@@ -53,8 +52,7 @@ def find_candidates(document, lexicon):
                 i += 1
                 continue
             key, end = match
-            candidates.append(ConnectiveCandidate(
-                document.doc_id, sentence.sent_index, i, end, key))
+            candidates.append(ConnectiveCandidate(sentence.sent_index, i, end, key))
             i = end
     return candidates
 

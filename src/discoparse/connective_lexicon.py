@@ -8,6 +8,7 @@ annotation. Only explicit relations contribute, with no frequency floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import DataError, DiscoParseError, MissingDocumentError
 
@@ -20,9 +21,12 @@ class ConnectiveStats:
 
 @dataclass
 class ConnectiveLexicon:
+    """Connective key -> ConnectiveStats. Lexicons are not mutated once
+    built, so max_token_length is computed once."""
+
     entries: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def max_token_length(self):
         """Token count of the longest entry; 0 for an empty lexicon."""
         return max((len(key.split(" ")) for key in self.entries), default=0)
@@ -45,7 +49,6 @@ def mine_lexicon(gold, documents):
     token outside its document, is a data error.
     """
     entries = {}
-    token_cache = {}
     for rel in gold:
         if rel.relation_type != "Explicit":
             continue
@@ -57,9 +60,7 @@ def mine_lexicon(gold, documents):
         if rel.doc_id not in documents:
             raise MissingDocumentError(
                 f"relation {rel.relation_id}: unknown document '{rel.doc_id}'")
-        if rel.doc_id not in token_cache:
-            token_cache[rel.doc_id] = documents[rel.doc_id].all_tokens()
-        flat = token_cache[rel.doc_id]
+        flat = documents[rel.doc_id].tokens
         if not all(0 <= i < len(flat) for i in rel.connective_tokens):
             raise DataError(
                 f"relation {rel.relation_id}: connective token index out of "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (AlignmentError, ExportError, InputFormatError,
                      MissingDocumentError, TreeParseError)
@@ -42,6 +43,15 @@ class Sentence:
     tree: ConstituentNode
     sent_index: int
 
+    def doc_span(self, begin, end):
+        """Document-level indices of this sentence's tokens [begin, end).
+
+        Doc indices run consecutively through a document's sentences, and
+        every sentence has a token, so they are offsets from the first.
+        """
+        first = self.tokens[0].doc_index
+        return range(first + begin, first + end)
+
 
 @dataclass
 class Document:
@@ -49,9 +59,10 @@ class Document:
     raw_text: str
     sentences: tuple[Sentence, ...]
 
-    def all_tokens(self):
-        """Every token of the document, ordered by doc_index."""
-        return [token for sentence in self.sentences for token in sentence.tokens]
+    @cached_property
+    def tokens(self):
+        """Every token of the document; tokens[i].doc_index == i."""
+        return tuple(token for sentence in self.sentences for token in sentence.tokens)
 
 
 @dataclass(frozen=True)
@@ -229,15 +240,12 @@ def export_relations(relations, documents, conll_tokenlist=False):
     [char_begin, char_end, doc_index, sent_index, index_in_sentence]
     instead of a single document-level index.
     """
-    token_cache = {}
     lines = []
     for rel in relations:
         if rel.doc_id not in documents:
             raise ExportError(
                 f"relation {rel.relation_id}: unknown document '{rel.doc_id}'")
-        if rel.doc_id not in token_cache:
-            token_cache[rel.doc_id] = documents[rel.doc_id].all_tokens()
-        flat = token_cache[rel.doc_id]
+        flat = documents[rel.doc_id].tokens
         obj = {
             "DocID": rel.doc_id,
             "ID": rel.relation_id,

@@ -41,12 +41,6 @@ class ParserModel:
     argument_tree: object
 
 
-def _candidate_span(candidate, document):
-    sentence = document.sentences[candidate.sent_index]
-    return tuple(sentence.tokens[i].doc_index
-                 for i in range(candidate.token_begin, candidate.token_end))
-
-
 def _connective_syntax(candidate, sentence):
     """(exact-cover chain, connective features) of one candidate.
 
@@ -87,8 +81,8 @@ def build_datasets(documents, gold, lexicon):
         for candidate in find_candidates(document, lexicon):
             sentence = document.sentences[candidate.sent_index]
             chain, features = _connective_syntax(candidate, sentence)
-            relations = unmatched.pop(
-                (doc_id, _candidate_span(candidate, document)), None)
+            span = sentence.doc_span(candidate.token_begin, candidate.token_end)
+            relations = unmatched.pop((doc_id, tuple(span)), None)
             usage.append(Instance(features, USAGE_POSITIVE if relations
                                   else USAGE_NEGATIVE))
             if relations:
@@ -154,7 +148,8 @@ def parse_document(document, model):
             doc_id=document.doc_id,
             relation_id=len(relations),
             relation_type="Explicit",
-            connective_tokens=_candidate_span(candidate, document),
+            connective_tokens=tuple(sentence.doc_span(candidate.token_begin,
+                                                      candidate.token_end)),
             arg1_tokens=arg1,
             arg2_tokens=arg2,
             senses=(),

@@ -17,8 +17,7 @@ from discoparse.argument_labeler import gold_constituent_label
 from discoparse.connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
                                              find_candidates)
 from discoparse.decision_tree import Instance
-from discoparse.pipeline import (_candidate_span, _connective_syntax,
-                                 _node_candidates)
+from discoparse.pipeline import _connective_syntax, _node_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -224,7 +223,14 @@ def greedy_true_positives(gold, predicted):
 
 
 # The two dataset builders training used before one pass built both, kept
-# as the reference: each runs find_candidates over every document.
+# as the reference: each runs find_candidates over every document and maps
+# candidates to document indices token by token.
+
+def _candidate_span(candidate, document):
+    sentence = document.sentences[candidate.sent_index]
+    return tuple(sentence.tokens[i].doc_index
+                 for i in range(candidate.token_begin, candidate.token_end))
+
 
 def _gold_connective_spans(gold):
     spans = {}

@@ -32,8 +32,8 @@ def _reference_parts(document):
     }
 
 
-def _when_candidate(document):
-    return ConnectiveCandidate(document.doc_id, 0, 5, 6, "when")
+# "when" in the reference sentence.
+WHEN_CANDIDATE = ConnectiveCandidate(0, 5, 6, "when")
 
 
 def _node_features(node, candidate, sentence):
@@ -93,7 +93,7 @@ def test_pruning_order_matches_bruteforce():
 def test_node_features_for_subordinate_clause(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
-    vector = _node_features(parts["s2"], _when_candidate(reference_document), sentence)
+    vector = _node_features(parts["s2"], WHEN_CANDIDATE, sentence)
     assert vector["path_to_self_cat"] == "S ↑ SBAR ↓ WHADVP"
     assert vector["node_context"] == "S-SBAR-WHADVP-null"
     assert vector["node_position"] == POSITION_RIGHT
@@ -104,13 +104,13 @@ def test_node_features_for_subordinate_clause(reference_document):
 def test_node_position_left_of_connective(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
-    vector = _node_features(parts["np1"], _when_candidate(reference_document), sentence)
+    vector = _node_features(parts["np1"], WHEN_CANDIDATE, sentence)
     assert vector["node_position"] == POSITION_LEFT
 
 
 def test_node_features_copy_the_connective_features(reference_document):
     sentence = reference_document.sentences[0]
-    candidate = _when_candidate(reference_document)
+    candidate = WHEN_CANDIDATE
     chain = exact_cover_chain(sentence.tree,
                               (candidate.token_begin, candidate.token_end))
     features = extract_connective_features(candidate, sentence, chain)
@@ -124,7 +124,7 @@ def test_node_features_copy_the_connective_features(reference_document):
 def test_classify_constituents_single_leaf(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
-    candidate = _when_candidate(reference_document)
+    candidate = WHEN_CANDIDATE
     pairs = [(node, _node_features(node, candidate, sentence))
              for node in prune_candidates(parts["wrb"])]
     labels = classify_constituents(pairs, Leaf("None", {"None": 1}))
@@ -135,7 +135,7 @@ def test_classify_constituents_single_leaf(reference_document):
 def test_classify_constituents_rejects_unknown_labels(reference_document):
     parts = _reference_parts(reference_document)
     sentence = reference_document.sentences[0]
-    candidate = _when_candidate(reference_document)
+    candidate = WHEN_CANDIDATE
     pairs = [(parts["s2"], _node_features(parts["s2"], candidate, sentence))]
     with pytest.raises(PredictionError):
         classify_constituents(pairs, Leaf("Arg3Part", {"Arg3Part": 1}))
@@ -163,10 +163,9 @@ def test_merge_reference_labels(reference_document):
         parts["np2"]: ConstituentLabel.ARG1_PART,
         parts["s2"]: ConstituentLabel.ARG2_PART,
     }
-    merged = merge_arguments(labels, _when_candidate(reference_document),
-                             reference_document)
+    merged = merge_arguments(labels, WHEN_CANDIDATE, reference_document)
     assert merged == ((0, 1, 2, 3, 4), (6, 7, 8, 9, 10))
-    flat = reference_document.all_tokens()
+    flat = reference_document.tokens
     assert " ".join(flat[i].surface for i in merged[0]) == \
         "We would stop index arbitrage"
     assert " ".join(flat[i].surface for i in merged[1]) == \
@@ -175,7 +174,7 @@ def test_merge_reference_labels(reference_document):
 
 def test_merge_without_arg1_uses_previous_sentence(corpus_documents):
     doc = corpus_documents["fix01"]
-    connective = ConnectiveCandidate("fix01", 1, 0, 1, "however")
+    connective = ConnectiveCandidate(1, 0, 1, "however")
     merged = merge_arguments({}, connective, doc)
     assert merged is not None
     arg1, arg2 = merged
@@ -186,15 +185,13 @@ def test_merge_without_arg1_uses_previous_sentence(corpus_documents):
 
 
 def test_merge_without_arg1_in_first_sentence_drops(reference_document):
-    assert merge_arguments({}, _when_candidate(reference_document),
-                           reference_document) is None
+    assert merge_arguments({}, WHEN_CANDIDATE, reference_document) is None
 
 
 def test_merge_without_arg2_takes_sentence_remainder(reference_document):
     parts = _reference_parts(reference_document)
     labels = {parts["np1"]: ConstituentLabel.ARG1_PART}
-    merged = merge_arguments(labels, _when_candidate(reference_document),
-                             reference_document)
+    merged = merge_arguments(labels, WHEN_CANDIDATE, reference_document)
     arg1, arg2 = merged
     assert arg1 == (0,)
     assert arg2 == (1, 2, 3, 4, 6, 7, 8, 9, 10)
@@ -206,8 +203,7 @@ def test_merge_arg2_wins_overlap(reference_document):
         parts["s2"]: ConstituentLabel.ARG2_PART,
         parts["sbar"]: ConstituentLabel.ARG1_PART,  # overlaps Arg2 and connective
     }
-    arg1, arg2 = merge_arguments(labels, _when_candidate(reference_document),
-                                 reference_document)
+    arg1, arg2 = merge_arguments(labels, WHEN_CANDIDATE, reference_document)
     assert arg2 == (6, 7, 8, 9, 10)
     assert arg1 == ()  # everything under SBAR was connective or Arg2
     assert set(arg1).isdisjoint(arg2)
@@ -220,8 +216,7 @@ def test_merge_outputs_disjoint_and_sorted(reference_document):
         parts["np1"]: ConstituentLabel.ARG1_PART,
         parts["s2"]: ConstituentLabel.ARG2_PART,
     }
-    arg1, arg2 = merge_arguments(labels, _when_candidate(reference_document),
-                                 reference_document)
+    arg1, arg2 = merge_arguments(labels, WHEN_CANDIDATE, reference_document)
     assert list(arg1) == sorted(set(arg1))
     assert list(arg2) == sorted(set(arg2))
     assert set(arg1).isdisjoint(arg2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -277,3 +278,52 @@ def test_parse_deep_tree_never_prints_a_traceback(trained_model_path, tmp_path,
         assert len(load_relations(out.read_bytes())) == 1
     else:
         assert "missing ')'" in result.stderr
+
+
+def test_parse_keeps_crlf_offsets(trained_model_path, tmp_path):
+    # Offsets count the file's characters as stored, "\r\n" included.
+    bracketings = ["(S (NP (NNS prices)) (VP (VBD fell)) (. .))",
+                   "(S (NP (NNS rates)) (VP (VBD rose)) (. .))",
+                   "(S (NP (NNS bonds)) (VP (VBD fell)) (. .))"]
+    entry, raw_text = build_document_json(bracketings)
+    raw_text = raw_text.replace("\n", "\r\n")
+    offset = 0
+    for sentence in entry["sentences"]:
+        for word, attrs in sentence["words"]:
+            begin = raw_text.index(word, offset)
+            offset = begin + len(word)
+            attrs.update(CharacterOffsetBegin=begin, CharacterOffsetEnd=offset)
+    assert offset == len(raw_text)
+    (tmp_path / "parses.json").write_text(json.dumps({"crlf": entry}),
+                                          encoding="utf-8")
+    (tmp_path / "raw").mkdir()
+    (tmp_path / "raw" / "crlf").write_bytes(raw_text.encode("utf-8"))
+    assert main(["parse", "--model", str(trained_model_path),
+                 "--parses", str(tmp_path / "parses.json"),
+                 "--raw", str(tmp_path / "raw"),
+                 "--out", str(tmp_path / "out.jsonl")]) == 0
+
+
+# SHA-256 of each output on the fixture corpus. A change that alters any
+# byte of the model or the relations fails here.
+GOLDEN_SHA256 = {
+    "model": "7577982f57da9a1d1d07059b46ee27811ac89bcac0b6638610da9f31ba15abc6",
+    "relations": "bcf8e0fee32f7be5f7ca36da5580ba350bd23ac880ecff631435317ba4f626a0",
+    "relations-conll-tokenlist":
+        "dcb366ef44331528fc815f80aaa6e4923a22faced02fb4383e93203880a6ac54",
+}
+
+
+def test_outputs_match_golden_digests(corpus_on_disk, trained_model_path,
+                                      tmp_path):
+    outputs = {"model": trained_model_path}
+    for name, extra in (("relations", []),
+                        ("relations-conll-tokenlist", ["--conll-tokenlist"])):
+        outputs[name] = tmp_path / f"{name}.jsonl"
+        assert main(["parse", "--model", str(trained_model_path),
+                     "--parses", str(corpus_on_disk / "parses.json"),
+                     "--raw", str(corpus_on_disk / "raw"),
+                     "--out", str(outputs[name]), *extra]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in outputs.items()}
+    assert digests == GOLDEN_SHA256

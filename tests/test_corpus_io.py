@@ -35,7 +35,7 @@ def test_token_alignment_exhaustive(corpus_documents):
     for doc in corpus_documents.values():
         rebuilt = []
         cursor = 0
-        for token in doc.all_tokens():
+        for token in doc.tokens:
             assert doc.raw_text[token.char_begin:token.char_end] == \
                 normalize_ptb_escapes(token.surface)
             rebuilt.append(doc.raw_text[cursor:token.char_begin])
@@ -43,10 +43,20 @@ def test_token_alignment_exhaustive(corpus_documents):
             cursor = token.char_end
         rebuilt.append(doc.raw_text[cursor:])
         assert "".join(rebuilt) == doc.raw_text
-        doc_indices = [t.doc_index for t in doc.all_tokens()]
+        doc_indices = [t.doc_index for t in doc.tokens]
         assert doc_indices == list(range(len(doc_indices)))
         for sentence in doc.sentences:
             assert len(sentence.tree.terminals()) == len(sentence.tokens)
+
+
+def test_doc_span_matches_token_lookup(corpus_documents):
+    for doc in corpus_documents.values():
+        for sentence in doc.sentences:
+            count = len(sentence.tokens)
+            for begin in range(count + 1):
+                for end in range(begin, count + 1):
+                    assert list(sentence.doc_span(begin, end)) == [
+                        token.doc_index for token in sentence.tokens[begin:end]]
 
 
 def test_bracket_escapes_align_to_raw_text():
@@ -212,7 +222,7 @@ def test_relations_round_trip_conll_tokenlist(corpus_documents, corpus_gold):
     first = json.loads(data.decode().splitlines()[0])
     entry = first["Connective"]["TokenList"][0]
     assert len(entry) == 5
-    token = corpus_documents["fix01"].all_tokens()[entry[2]]
+    token = corpus_documents["fix01"].tokens[entry[2]]
     assert entry == [token.char_begin, token.char_end, token.doc_index,
                      token.sent_index, token.index_in_sentence]
     assert load_relations(data) == corpus_gold

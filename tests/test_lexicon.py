@@ -61,7 +61,7 @@ def test_mined_keys_appear_in_gold(corpus_documents, corpus_gold):
     lexicon = mine_lexicon(corpus_gold, corpus_documents)
     surfaces = set()
     for rel in corpus_gold:
-        flat = corpus_documents[rel.doc_id].all_tokens()
+        flat = corpus_documents[rel.doc_id].tokens
         surfaces.add(" ".join(flat[i].surface.lower()
                               for i in sorted(rel.connective_tokens)))
     assert set(lexicon.entries) == surfaces
@@ -95,7 +95,7 @@ def test_mine_explicit_without_sense_is_data_error(corpus_documents):
 def test_mine_connective_outside_document_is_data_error(corpus_documents,
                                                         index):
     # fix01 has 25 tokens; a negative index must not read from the end.
-    assert len(corpus_documents["fix01"].all_tokens()) == 25
+    assert len(corpus_documents["fix01"].tokens) == 25
     gold = [_explicit("fix01", 7, (index,), "Temporal.Synchrony")]
     with pytest.raises(DataError) as excinfo:
         mine_lexicon(gold, corpus_documents)

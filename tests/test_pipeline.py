@@ -63,7 +63,7 @@ def test_non_discourse_candidates_are_filtered(trained):
     relations = parse_document(documents["fix02"], model)
     assert len(relations) == 2
     surfaces = set()
-    flat = documents["fix02"].all_tokens()
+    flat = documents["fix02"].tokens
     for rel in relations:
         surfaces.add(" ".join(flat[i].surface.lower()
                               for i in rel.connective_tokens))
@@ -312,7 +312,7 @@ def test_annotated_sense_is_argmax(trained):
     documents, _, model = trained
     for doc in documents.values():
         for rel in parse_document(doc, model):
-            flat = doc.all_tokens()
+            flat = doc.tokens
             key = " ".join(flat[i].surface.lower() for i in rel.connective_tokens)
             counts = model.lexicon.entries[key].sense_counts
             assert counts[rel.senses[0]] == max(counts.values())
@@ -321,7 +321,7 @@ def test_annotated_sense_is_argmax(trained):
 def test_emitted_relations_satisfy_span_invariants(trained):
     documents, _, model = trained
     for doc in documents.values():
-        total = len(doc.all_tokens())
+        total = len(doc.tokens)
         for rel in parse_document(doc, model):
             conn = set(rel.connective_tokens)
             assert conn == set(range(min(conn), max(conn) + 1))  # contiguous
