@@ -13,7 +13,8 @@ import logging
 import os
 import sys
 
-from .corpus_io import export_relations, load_parses, load_relations
+from .corpus_io import (atomic_output, export_relations, iter_parses,
+                        load_parses, load_relations)
 from .decision_tree import tree_size, tree_support
 from .errors import DiscoParseError, InputFormatError
 from .evaluation import format_table, report_dict, score
@@ -105,15 +106,22 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
+    """Parse, export and drop one document at a time, in parses-file order.
+
+    The output file appears, whole, only if every document succeeds.
+    """
     model = load_model(args.model)
-    documents = _load_documents(args.parses, args.raw)
-    relations = [rel for doc in documents.values()
-                 for rel in parse_document(doc, model)]
-    data = export_relations(relations, documents,
-                            conll_tokenlist=args.conll_tokenlist)
-    with open(args.out, "wb") as handle:
-        handle.write(data)
-    print(f"{len(relations)} relations written to {args.out}", file=sys.stderr)
+    raw = _read_raw_dir(args.raw)
+    with open(args.parses, "rb") as handle:
+        documents = iter_parses(handle, raw)
+    count = 0
+    with atomic_output(args.out) as out:
+        for doc in documents:
+            relations = parse_document(doc, model)
+            out.write(export_relations(relations, {doc.doc_id: doc},
+                                       conll_tokenlist=args.conll_tokenlist))
+            count += len(relations)
+    print(f"{count} relations written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -4,11 +4,16 @@ Reads the shared-task parses JSON (token offsets, POS tags and PTB
 bracketings per sentence; dependency parses are tolerated and discarded)
 together with per-document raw text, reads gold relations from JSON lines,
 and writes predicted relations back out as one JSON object per line.
+Output files are replaced atomically (atomic_output).
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,11 +89,18 @@ def _read_text(source):
     return source
 
 
-def load_parses(parses_json, raw_texts):
-    """Build Documents from a parses JSON stream and a doc_id -> raw text map.
+def iter_parses(parses_json, raw_texts):
+    """Documents from a parses JSON stream and a doc_id -> raw text map,
+    one at a time in parses-file order.
 
-    Every document named in the parses file must have raw text; extra raw
-    entries are ignored. Dependency parses present in the file are discarded.
+    The JSON is decoded and checked to be an object here, so malformed JSON
+    or a non-object raises InputFormatError from this call. Every other
+    error (a document without raw text, a malformed sentence, word or tree)
+    raises when iteration reaches that document, after the documents
+    before it have been yielded. Each document's decoded entry is dropped
+    as its Document is built, so a caller that drops each Document in turn
+    holds one document at a time. Extra raw entries are ignored; dependency
+    parses present in the file are discarded.
     """
     text = _read_text(parses_json)
     try:
@@ -97,12 +109,20 @@ def load_parses(parses_json, raw_texts):
         raise InputFormatError(f"malformed parses JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFormatError("parses JSON must be an object keyed by document id")
-    documents = []
-    for doc_id, doc_data in data.items():
+    return _build_documents(data, raw_texts)
+
+
+def _build_documents(data, raw_texts):
+    for doc_id in list(data):
+        doc_data = data.pop(doc_id)
         if doc_id not in raw_texts:
             raise MissingDocumentError(f"no raw text for document '{doc_id}'")
-        documents.append(_build_document(doc_id, doc_data, raw_texts[doc_id]))
-    return documents
+        yield _build_document(doc_id, doc_data, raw_texts[doc_id])
+
+
+def load_parses(parses_json, raw_texts):
+    """Every Document of iter_parses, as a list."""
+    return list(iter_parses(parses_json, raw_texts))
 
 
 def _build_document(doc_id, doc_data, raw_text):
@@ -259,3 +279,40 @@ def export_relations(relations, documents, conll_tokenlist=False):
     if not lines:
         return b""
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@contextmanager
+def atomic_output(path):
+    """Binary handle whose bytes replace the file at path when the block ends.
+
+    The bytes go to a new file beside the target, which replaces it with
+    os.replace only if the block exits normally; on any exception that
+    file is deleted and the target keeps its old bytes. A symlink is
+    written through, as open() would. A new file gets the mode open(path,
+    "wb") would give it and an existing one keeps its mode. A target that
+    exists and is not a regular file (a FIFO, a device, /dev/stdout) is
+    refused with OSError before anything is created: replacing it would
+    swap out the node itself, and opening a FIFO for writing blocks.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        raise OSError(errno.EINVAL, "not a regular file", path)
+    directory, name = os.path.split(os.path.realpath(path))
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        handle = open(temp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(handle.fileno(), stat.S_IMODE(mode))
+            yield handle
+        os.replace(temp, os.path.join(directory, name))
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise

@@ -24,7 +24,7 @@ from .connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
 from .connective_lexicon import (ConnectiveLexicon, annotate_sense,
                                  lexicon_from_json, lexicon_to_json,
                                  mine_lexicon)
-from .corpus_io import DiscourseRelation
+from .corpus_io import DiscourseRelation, atomic_output
 from .decision_tree import Instance, train, tree_from_json, tree_to_json
 from .errors import ModelFormatError, TrainingError
 from .parse_tree import exact_cover_chain
@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParserModel:
     lexicon: ConnectiveLexicon
     usage_tree: object
@@ -171,9 +171,10 @@ def model_to_json(model):
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_json(model), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    """Write the model as JSON; an existing file is replaced atomically."""
+    with atomic_output(path) as handle:
+        text = json.dumps(model_to_json(model), sort_keys=True, indent=2)
+        handle.write((text + "\n").encode("utf-8"))
 
 
 def load_model(path):

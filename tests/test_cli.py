@@ -1,14 +1,20 @@
+import gc
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import discoparse
 from discoparse import (export_relations, load_model, load_parses,
                         load_relations, parse_document)
+import discoparse.cli
 from discoparse.cli import main
 
 import fixture_corpus
@@ -327,3 +333,152 @@ def test_outputs_match_golden_digests(corpus_on_disk, trained_model_path,
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in outputs.items()}
     assert digests == GOLDEN_SHA256
+
+
+def _parse(model, parses, raw, out, *extra):
+    return main(["parse", "--model", str(model), "--parses", str(parses),
+                 "--raw", str(raw), "--out", str(out), *extra])
+
+
+def _open_mode(path):
+    """Permission bits of a new file made by a plain open(path, "wb")."""
+    with open(path, "wb"):
+        pass
+    mode = stat.S_IMODE(os.stat(path).st_mode)
+    os.unlink(path)
+    return mode
+
+
+@pytest.fixture
+def broken_second_document(corpus_on_disk, tmp_path):
+    """Parses file of three fixture documents, the second one malformed."""
+    parses = json.loads((corpus_on_disk / "parses.json").read_text())
+    doc_ids = list(parses)[:3]
+    three = {doc_id: parses[doc_id] for doc_id in doc_ids}
+    three[doc_ids[1]]["sentences"][0]["parsetree"] = "(S (NN"
+    path = tmp_path / "input" / "parses.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(three), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("existing", [None, b"earlier output\n"],
+                         ids=["absent", "existing"])
+def test_parse_failure_mid_stream_leaves_no_output(
+        corpus_on_disk, trained_model_path, broken_second_document, tmp_path,
+        capsys, existing):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "relations.jsonl"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert _parse(trained_model_path, broken_second_document,
+                  corpus_on_disk / "raw", out) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "fix02" in errors[0]
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+    assert sorted(os.listdir(out_dir)) == (["relations.jsonl"] if existing else [])
+
+
+def test_parse_output_mode_matches_plain_open(corpus_on_disk,
+                                              trained_model_path, tmp_path):
+    out = tmp_path / "relations.jsonl"
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", out) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == _open_mode(tmp_path / "ref")
+    # An existing file keeps its mode, as it would under open(path, "wb").
+    os.chmod(out, 0o600)
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", out) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o600
+
+
+def test_parse_writes_through_a_symlink(corpus_on_disk, trained_model_path,
+                                        tmp_path):
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"stale\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", link) == 0
+    assert link.is_symlink()
+    assert load_relations(target.read_bytes())
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+
+
+def test_parse_refuses_a_fifo_before_parsing(corpus_on_disk,
+                                             trained_model_path, tmp_path,
+                                             monkeypatch, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    parsed = []
+    monkeypatch.setattr(discoparse.cli, "parse_document",
+                        lambda doc, model: parsed.append(doc.doc_id) or [])
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", fifo) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert parsed == []
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+def test_parse_refuses_dev_stdout_on_a_pipe(corpus_on_disk,
+                                            trained_model_path):
+    # capture_output makes the child's standard output a pipe.
+    result = _run_cli(["parse", "--model", str(trained_model_path),
+                       "--parses", str(corpus_on_disk / "parses.json"),
+                       "--raw", str(corpus_on_disk / "raw"),
+                       "--out", "/dev/stdout"])
+    assert result.returncode == 2
+    assert "not a regular file" in result.stderr
+    assert result.stdout == ""
+
+
+def test_parse_holds_one_document_at_a_time(corpus_on_disk,
+                                            trained_model_path, tmp_path,
+                                            monkeypatch):
+    seen = []
+    real = discoparse.cli.parse_document
+
+    def tracking(document, model):
+        gc.collect()
+        assert [ref() for ref in seen if ref() is not None] == []
+        seen.append(weakref.ref(document))
+        return real(document, model)
+
+    monkeypatch.setattr(discoparse.cli, "parse_document", tracking)
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", tmp_path / "out.jsonl") == 0
+    assert len(seen) == 5
+
+
+def _lines_by_document(data):
+    blocks = {}
+    for line in data.decode("utf-8").splitlines(keepends=True):
+        blocks.setdefault(json.loads(line)["DocID"], []).append(line)
+    return blocks
+
+
+@settings(max_examples=15, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(["fix01", "fix02", "fix03", "fix04", "fix05"]))
+def test_permuted_documents_give_permuted_lines(corpus_on_disk,
+                                                trained_model_path, tmp_path,
+                                                order):
+    parses = json.loads((corpus_on_disk / "parses.json").read_text())
+    assert sorted(parses) == sorted(order)
+    reference = tmp_path / "reference.jsonl"
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", reference) == 0
+    blocks = _lines_by_document(reference.read_bytes())
+    permuted = tmp_path / "permuted.json"
+    permuted.write_text(json.dumps({doc_id: parses[doc_id] for doc_id in order}),
+                        encoding="utf-8")
+    out = tmp_path / "permuted.jsonl"
+    assert _parse(trained_model_path, permuted, corpus_on_disk / "raw", out) == 0
+    expected = "".join(line for doc_id in order for line in blocks.get(doc_id, []))
+    assert out.read_bytes() == expected.encode("utf-8")

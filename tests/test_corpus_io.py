@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from discoparse import (export_relations, load_parses, load_relations,
-                        mine_lexicon, score)
+from discoparse import (export_relations, iter_parses, load_parses,
+                        load_relations, mine_lexicon, score)
 from discoparse.corpus_io import DiscourseRelation, normalize_ptb_escapes
 from discoparse.errors import (AlignmentError, ExportError, InputFormatError,
                                MissingDocumentError)
@@ -92,6 +92,22 @@ def test_unicode_offsets_count_code_points():
 def test_malformed_parses_json():
     with pytest.raises(InputFormatError):
         load_parses(b"{not json", {})
+
+
+@pytest.mark.parametrize("data", [b"{not json", b"[]"], ids=["malformed", "list"])
+def test_iter_parses_checks_the_json_when_called(data):
+    with pytest.raises(InputFormatError):
+        iter_parses(data, {})
+
+
+def test_iter_parses_reports_a_document_error_when_it_is_reached():
+    good, raw = build_document_json(["(S (NN dog))"])
+    documents = iter_parses(json.dumps({"a": good, "b": good, "c": good}),
+                            {"a": raw, "c": raw})
+    assert next(documents).doc_id == "a"
+    with pytest.raises(MissingDocumentError) as excinfo:
+        next(documents)
+    assert "'b'" in str(excinfo.value)
 
 
 def test_leaf_word_count_mismatch():

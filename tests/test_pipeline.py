@@ -1,7 +1,9 @@
 import json
 import logging
+import os
+import stat
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -233,6 +235,33 @@ def test_model_save_load_round_trip(tmp_path, trained):
         assert parse_document(doc, reloaded) == parse_document(doc, model)
     save_model(reloaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_failed_save_keeps_the_existing_model(tmp_path, trained):
+    _, _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    unserializable = replace(model, argument_tree=object())
+    with pytest.raises(AttributeError):
+        save_model(unserializable, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_saved_model_has_the_mode_of_a_plain_open(tmp_path, trained):
+    _, _, model = trained
+    with open(tmp_path / "plain", "wb"):
+        pass
+    save_model(model, tmp_path / "model.json")
+    assert (stat.S_IMODE(os.stat(tmp_path / "model.json").st_mode)
+            == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode))
+
+
+def test_parser_model_is_frozen(trained):
+    _, _, model = trained
+    with pytest.raises(FrozenInstanceError):
+        model.usage_tree = None
 
 
 def test_model_version_mismatch(tmp_path, trained):
