@@ -91,11 +91,13 @@ def _load_documents(parses_path, raw_dir):
 
 
 def cmd_train(args):
-    with open(args.relations, "rb") as handle:
-        gold = load_relations(handle)
-    documents = _load_documents(args.parses, args.raw)
-    model = train_model(documents, gold, args.min_leaf)
-    save_model(model, args.out)
+    """Train and write the model; a bad --out is refused before any input is read."""
+    with atomic_output(args.out) as out:
+        with open(args.relations, "rb") as handle:
+            gold = load_relations(handle)
+        documents = _load_documents(args.parses, args.raw)
+        model = train_model(documents, gold, args.min_leaf)
+        save_model(model, out)
     print(f"lexicon: {len(model.lexicon)} connectives", file=sys.stderr)
     for name, tree in (("usage", model.usage_tree),
                        ("argument", model.argument_tree)):

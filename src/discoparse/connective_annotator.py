@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision_tree import predict
-from .parse_tree import label_or_null
+from .parse_tree import node_context
 
 USAGE_POSITIVE = "discourse"
 USAGE_NEGATIVE = "non-discourse"
@@ -78,16 +78,17 @@ def extract_connective_features(candidate, sentence, chain):
     siblings are read off the top, which is what places single-token
     connectives next to the clause they attach to.
     """
-    bottom, top = chain[0], chain[-1]
+    self_cat, parent, _, _ = node_context(chain[0])
+    _, _, left, right = node_context(chain[-1])
     raw = " ".join(token.surface for token in
                    sentence.tokens[candidate.token_begin:candidate.token_end])
     return {
         "conn_lowercase": candidate.surface,
         "case_category": case_category(raw),
-        "self_cat": bottom.label,
-        "self_cat_parent": label_or_null(bottom.parent),
-        "self_cat_left_sibling": label_or_null(top.left_sibling),
-        "self_cat_right_sibling": label_or_null(top.right_sibling),
+        "self_cat": self_cat,
+        "self_cat_parent": parent,
+        "self_cat_left_sibling": left,
+        "self_cat_right_sibling": right,
     }
 
 

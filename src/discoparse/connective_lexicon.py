@@ -109,12 +109,16 @@ def lexicon_to_json(lexicon):
 
 
 def lexicon_from_json(data):
-    """Read a lexicon back. An entry without senses could not annotate the
+    """Read a lexicon back. An entry without senses, or with a sense count
+    that is not a non-negative int (bool excluded), could not annotate the
     relations its matches produce, so it raises ValueError."""
     entries = {}
     for key, value in data["entries"].items():
-        if not value["sense_counts"]:
+        sense_counts = dict(value["sense_counts"])
+        if not sense_counts:
             raise ValueError(f"lexicon entry '{key}' has no senses")
-        entries[key] = ConnectiveStats(value["total_count"],
-                                       dict(value["sense_counts"]))
+        if any(type(n) is not int or n < 0 for n in sense_counts.values()):
+            raise ValueError(f"lexicon entry '{key}' has a sense count that is "
+                             f"not a non-negative integer: {sense_counts!r}")
+        entries[key] = ConnectiveStats(value["total_count"], sense_counts)
     return ConnectiveLexicon(entries)

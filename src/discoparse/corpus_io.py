@@ -42,7 +42,7 @@ class Token:
     index_in_sentence: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
     tree: ConstituentNode
@@ -58,7 +58,7 @@ class Sentence:
         return range(first + begin, first + end)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
     doc_id: str
     raw_text: str

@@ -158,8 +158,10 @@ def tree_from_json(data):
     if kind == "leaf":
         return Leaf(data["label"], dict(data["distribution"]))
     if kind == "branch":
-        return Branch(data["feature"],
-                      {value: tree_from_json(child)
-                       for value, child in data["children"].items()},
-                      data["majority_child"])
+        children = {value: tree_from_json(child)
+                    for value, child in data["children"].items()}
+        majority = data["majority_child"]
+        if majority not in children:
+            raise ValueError(f"majority_child {majority!r} is not a child of its branch")
+        return Branch(data["feature"], children, majority)
     raise ModelFormatError(f"unreadable tree node: {data!r}")

@@ -1,8 +1,8 @@
 """Immutable constituency trees parsed from PTB bracketings.
 
-Provides the navigation every syntactic feature needs: parent and sibling
-lookup, covered token spans, paths to the root, and rendered node-to-node
-paths through the lowest common ancestor.
+Provides what every syntactic feature reads: covered token spans, paths
+to the root, node-to-node paths through the lowest common ancestor, and
+node_context, the one reader of parent and sibling labels.
 """
 
 from __future__ import annotations
@@ -21,37 +21,21 @@ class ConstituentNode:
     """One node of a constituency tree.
 
     Terminals carry the token surface as their label; the POS tag is the
-    label of the terminal's parent. Children, parents and covered token
-    ranges are filled in once by parse_ptb; trees are never mutated after
-    that, so they are safe to share between threads.
+    label of the terminal's parent. parse_ptb fills in children (a tuple,
+    empty on terminals), parents and covered token ranges once; trees are
+    never mutated after that, so they are safe to share between threads.
     """
 
     __slots__ = ("label", "children", "is_terminal", "parent",
-                 "token_begin", "token_end", "_child_index")
+                 "token_begin", "token_end")
 
     def __init__(self, label, is_terminal=False):
         self.label = label
-        self.children = []
+        self.children = ()
         self.is_terminal = is_terminal
         self.parent = None
         self.token_begin = -1
         self.token_end = -1
-        self._child_index = -1
-
-    @property
-    def left_sibling(self):
-        if self.parent is None or self._child_index <= 0:
-            return None
-        return self.parent.children[self._child_index - 1]
-
-    @property
-    def right_sibling(self):
-        if self.parent is None:
-            return None
-        siblings = self.parent.children
-        if self._child_index + 1 >= len(siblings):
-            return None
-        return siblings[self._child_index + 1]
 
     def walk(self):
         """Pre-order traversal (node before children, siblings left to right)."""
@@ -103,12 +87,12 @@ def _char_position(text, token_index):
 
 def _parse_tokens(text, tokens):
     """Build the tree of the bracketing that starts at tokens[0], a '(',
-    in one pass: parents, child indices and covered token spans are set
-    as nodes open and close.
+    in one pass: parents, children and covered token spans are set as
+    nodes open and close.
 
     Returns the root and the index of the first token after it. Open nodes
-    wait on an explicit stack as (node, label, token index), so nesting
-    depth is not bounded by the interpreter's recursion limit.
+    wait on an explicit stack as (node, label, token index, children), so
+    nesting depth is not bounded by the interpreter's recursion limit.
     """
     size = len(tokens)
     stack = []
@@ -118,12 +102,11 @@ def _parse_tokens(text, tokens):
         value = tokens[index]
         index += 1
         if value == ")":
-            node, label, opened = stack.pop()
-            children = node.children
+            node, label, opened, children = stack.pop()
             if not children:
                 raise TreeParseError(f"node '{label}' has no children",
                                      position=_char_position(text, opened))
-            node.children = children.copy()  # exact size: appending over-allocates
+            node.children = tuple(children)
             node.token_begin = children[0].token_begin
             node.token_end = children[-1].token_end
             if not stack:
@@ -143,12 +126,11 @@ def _parse_tokens(text, tokens):
                 node.token_end = next_leaf + 1
                 next_leaf += 1
             if stack:
-                parent = stack[-1][0]
+                parent, _, _, siblings = stack[-1]
                 node.parent = parent
-                node._child_index = len(parent.children)
-                parent.children.append(node)
+                siblings.append(node)
             if value == "(":
-                stack.append((node, label, opened))
+                stack.append((node, label, opened, []))
         if index >= size:
             raise TreeParseError("unbalanced bracketing, missing ')'",
                                  position=_char_position(text, stack[-1][2]))
@@ -248,15 +230,16 @@ def render_path(source, target):
     return rendered
 
 
-def label_or_null(node):
-    """The node's label, or the literal text "null" for an absent node."""
-    return node.label if node is not None else NULL_LABEL
-
-
 def node_context(node):
     """(label, parent label, left sibling label, right sibling label).
 
     Absent relatives are rendered as the literal text "null".
     """
-    return (node.label, label_or_null(node.parent),
-            label_or_null(node.left_sibling), label_or_null(node.right_sibling))
+    parent = node.parent
+    if parent is None:
+        return (node.label, NULL_LABEL, NULL_LABEL, NULL_LABEL)
+    siblings = parent.children
+    index = siblings.index(node)  # by identity: nodes define no __eq__
+    left = siblings[index - 1].label if index else NULL_LABEL
+    right = siblings[index + 1].label if index + 1 < len(siblings) else NULL_LABEL
+    return (node.label, parent.label, left, right)

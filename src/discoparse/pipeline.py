@@ -171,10 +171,15 @@ def model_to_json(model):
 
 
 def save_model(model, path):
-    """Write the model as JSON; an existing file is replaced atomically."""
+    """Write the model as JSON to the file at path, replacing an existing
+    file atomically, or to path itself when it is an open binary handle."""
+    text = json.dumps(model_to_json(model), sort_keys=True, indent=2)
+    data = (text + "\n").encode("utf-8")
+    if hasattr(path, "write"):
+        path.write(data)
+        return
     with atomic_output(path) as handle:
-        text = json.dumps(model_to_json(model), sort_keys=True, indent=2)
-        handle.write((text + "\n").encode("utf-8"))
+        handle.write(data)
 
 
 def load_model(path):

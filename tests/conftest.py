@@ -28,11 +28,12 @@ def corpus_gold():
     return fixture_corpus.corpus_gold()
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def random_trees():
-    """200 seeded random trees (depth <= 8, branching <= 4)."""
+    """200 seeded random trees (depth <= 8, branching <= 4), built once and
+    shared: trees are never mutated after parse_ptb."""
     rng = random.Random(20150526)
-    return [parse_ptb(random_tree_text(rng)) for _ in range(200)]
+    return tuple(parse_ptb(random_tree_text(rng)) for _ in range(200))
 
 
 def nodes_by_label(tree):

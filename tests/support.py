@@ -1,7 +1,7 @@
 """Test-side helpers kept independent of the package internals.
 
-The leaf extractor, the entropy calculator, the whole-tree cover search
-and the brute-force pruning filter re-derive their answers from first
+The leaf extractor, the entropy calculator, the whole-tree cover search,
+the root-down node contexts and the brute-force pruning filter re-derive their answers from first
 principles so the tests they feed do not lean on the code paths under test.
 The scanning scorer and the two training-set builders are earlier versions
 of package code, kept as references that the current versions must agree
@@ -83,6 +83,24 @@ def walk_exact_cover_chain(tree, token_range):
         if inner is None:
             return [node]
         node = inner
+
+
+def walk_node_contexts(root):
+    """id(node) -> (label, parent label, left sibling label, right sibling
+    label) for every node of the tree, found from the root down by each
+    node's position among its parent's children, never through a parent
+    link; an absent relative is "null".
+    """
+    contexts = {id(root): (root.label, "null", "null", "null")}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        labels = ["null"] + [child.label for child in node.children] + ["null"]
+        for position, child in enumerate(node.children, start=1):
+            contexts[id(child)] = (child.label, node.label,
+                                   labels[position - 1], labels[position + 1])
+            stack.append(child)
+    return contexts
 
 
 def bruteforce_prune(root, anchor):

@@ -55,7 +55,7 @@ def test_pruning_from_root_yields_its_children(reference_document):
     # Degenerate anchor: with P = [root], the definition admits exactly the
     # root's non-terminal children.
     tree = reference_document.sentences[0].tree
-    assert prune_candidates(tree) == tree.children
+    assert prune_candidates(tree) == list(tree.children)
 
 
 def test_pruning_matches_bruteforce(random_trees):

@@ -426,6 +426,75 @@ def test_parse_refuses_a_fifo_before_parsing(corpus_on_disk,
     assert os.listdir(tmp_path) == ["fifo"]
 
 
+@pytest.fixture
+def loading_calls(monkeypatch):
+    """Names of the loading and training calls train makes, in order."""
+    calls = []
+    for name in ("load_relations", "train_model"):
+        real = getattr(discoparse.cli, name)
+
+        def recorded(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(discoparse.cli, name, recorded)
+    return calls
+
+
+def _train(corpus, out):
+    return main(["train", "--relations", str(corpus / "relations.jsonl"),
+                 "--parses", str(corpus / "parses.json"),
+                 "--raw", str(corpus / "raw"), "--out", str(out)])
+
+
+def test_train_refuses_a_fifo_before_loading(corpus_on_disk, tmp_path,
+                                             loading_calls, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert _train(corpus_on_disk, fifo) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot access {fifo}: not a regular file"]
+    assert loading_calls == []
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+def test_train_refuses_a_missing_directory_before_loading(corpus_on_disk,
+                                                          tmp_path,
+                                                          loading_calls,
+                                                          capsys):
+    out = tmp_path / "missing" / "model.json"
+    assert _train(corpus_on_disk, out) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: cannot access {out}: ")
+    assert loading_calls == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("defect", ["majority-child", "sense-count"])
+def test_parse_rejects_an_unusable_model_at_load(corpus_on_disk,
+                                                 trained_model_path, tmp_path,
+                                                 defect):
+    data = json.loads(trained_model_path.read_text())
+    if defect == "majority-child":
+        branch = next(tree for tree in (data["usage_tree"], data["argument_tree"])
+                      if tree["kind"] == "branch")
+        branch["majority_child"] = "no such value"
+    else:
+        for stats in data["lexicon"]["entries"].values():
+            stats["sense_counts"] = {sense: "x" for sense in stats["sense_counts"]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    out = tmp_path / "out.jsonl"
+    result = _run_cli(["parse", "--model", str(model),
+                       "--parses", str(corpus_on_disk / "parses.json"),
+                       "--raw", str(corpus_on_disk / "raw"), "--out", str(out)])
+    assert result.returncode == 2
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: model file ")
+    assert not out.exists()
+
+
 def test_parse_refuses_dev_stdout_on_a_pipe(corpus_on_disk,
                                             trained_model_path):
     # capture_output makes the child's standard output a pipe.

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -22,6 +23,16 @@ def test_load_reference_document(reference_document):
     assert leaves[5].parent.label == "WRB"
     assert sentence.tokens[5].surface == "when"
     assert sentence.tokens[5].pos == "WRB"
+
+
+def test_documents_and_sentences_are_frozen(reference_document):
+    sentence = reference_document.sentences[0]
+    with pytest.raises(FrozenInstanceError):
+        reference_document.sentences = ()
+    with pytest.raises(FrozenInstanceError):
+        sentence.tree = None
+    assert reference_document.tokens is reference_document.tokens
+    assert reference_document.tokens == sentence.tokens
 
 
 def test_load_empty_inputs():

@@ -8,7 +8,7 @@ from discoparse.errors import TreeParseError
 
 import fixture_corpus
 from conftest import nodes_by_label
-from support import random_tree_text, walk_exact_cover_chain
+from support import random_tree_text, walk_exact_cover_chain, walk_node_contexts
 
 
 def test_reference_tree_structure(reference_tree):
@@ -181,6 +181,20 @@ def test_node_context_root(reference_tree):
 def test_node_context_object_np(reference_tree):
     np2 = nodes_by_label(reference_tree)["VP"][1].children[1]
     assert node_context(np2) == ("NP", "VP", "VB", "SBAR")
+
+
+def test_node_context_matches_root_down_oracle(random_trees):
+    for tree in random_trees:
+        oracle = walk_node_contexts(tree)
+        for node in tree.walk():
+            assert node_context(node) == oracle[id(node)]
+
+
+def test_children_are_tuples_and_terminals_have_none(random_trees):
+    for tree in random_trees:
+        for node in tree.walk():
+            assert type(node.children) is tuple
+            assert node.is_terminal == (node.children == ())
 
 
 def test_self_cat_is_ancestor_or_self(random_trees):

@@ -237,6 +237,15 @@ def test_model_save_load_round_trip(tmp_path, trained):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_save_model_to_a_handle_writes_the_same_bytes(tmp_path, trained):
+    _, _, model = trained
+    save_model(model, tmp_path / "model.json")
+    with open(tmp_path / "handle.json", "wb") as handle:
+        save_model(model, handle)
+    assert ((tmp_path / "handle.json").read_bytes()
+            == (tmp_path / "model.json").read_bytes())
+
+
 def test_failed_save_keeps_the_existing_model(tmp_path, trained):
     _, _, model = trained
     path = tmp_path / "model.json"
@@ -276,6 +285,11 @@ def test_model_version_mismatch(tmp_path, trained):
     assert "format_version" in str(excinfo.value)
 
 
+def _first_branch(data):
+    return next(tree for tree in (data["usage_tree"], data["argument_tree"])
+                if tree["kind"] == "branch")
+
+
 @pytest.mark.parametrize("field", ["tree-children", "lexicon-entries"])
 def test_model_with_a_list_for_a_mapping_is_a_format_error(tmp_path, trained,
                                                            field):
@@ -284,8 +298,7 @@ def test_model_with_a_list_for_a_mapping_is_a_format_error(tmp_path, trained,
     save_model(model, path)
     data = json.loads(path.read_text())
     if field == "tree-children":
-        branch = next(tree for tree in (data["usage_tree"], data["argument_tree"])
-                      if tree["kind"] == "branch")
+        branch = _first_branch(data)
         branch["children"] = list(branch["children"].values())
     else:
         data["lexicon"]["entries"] = list(data["lexicon"]["entries"].values())
@@ -390,3 +403,29 @@ def test_deeply_nested_tree_parses(trained):
     ref = fixture_corpus.REFERENCE_RELATION
     assert [(rel.connective_tokens, rel.arg1_tokens, rel.arg2_tokens)
             for rel in relations] == [(ref["connective"], ref["arg1"], ref["arg2"])]
+
+
+@pytest.mark.parametrize("defect, expected", [
+    ("majority-child", "is not a child of its branch"),
+    ("count-string", "'x'"),
+    ("count-null", "None"),
+    ("count-negative", "-1"),
+    ("count-bool", "True"),
+    ("count-float", "2.0"),
+])
+def test_model_with_an_unusable_value_is_a_format_error(tmp_path, trained,
+                                                        defect, expected):
+    _, _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    if defect == "majority-child":
+        _first_branch(data)["majority_child"] = "no such value"
+    else:
+        value = {"count-string": "x", "count-null": None, "count-negative": -1,
+                 "count-bool": True, "count-float": 2.0}[defect]
+        data["lexicon"]["entries"]["when"]["sense_counts"]["Temporal.Synchrony"] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert expected in str(excinfo.value)
