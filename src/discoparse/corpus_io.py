@@ -12,10 +12,12 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import (AlignmentError, ExportError, InputFormatError,
                      MissingDocumentError, TreeParseError)
@@ -26,12 +28,15 @@ RELATION_TYPES = frozenset({"Explicit", "Implicit", "AltLex", "EntRel"})
 # PTB bracketings escape brackets; raw text does not.
 PTB_ESCAPES = {"-LRB-": "(", "-RRB-": ")", "-LCB-": "{", "-RCB-": "}"}
 
+# The whitespace JSON allows between tokens (str.isspace is wider).
+_JSON_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
 
 def normalize_ptb_escapes(surface):
     return PTB_ESCAPES.get(surface, surface)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     char_begin: int
@@ -93,28 +98,68 @@ def iter_parses(parses_json, raw_texts):
     """Documents from a parses JSON stream and a doc_id -> raw text map,
     one at a time in parses-file order.
 
-    The JSON is decoded and checked to be an object here, so malformed JSON
-    or a non-object raises InputFormatError from this call. Every other
-    error (a document without raw text, a malformed sentence, word or tree)
-    raises when iteration reaches that document, after the documents
-    before it have been yielded. Each document's decoded entry is dropped
-    as its Document is built, so a caller that drops each Document in turn
-    holds one document at a time. Extra raw entries are ignored; dependency
-    parses present in the file are discarded.
+    The JSON object is decoded one document's entry at a time. The opening
+    brace and the first entry are decoded here, so empty input yields no
+    documents, and a top level that is not an object or a malformed first
+    entry raises InputFormatError from this call. Every other error (a
+    later malformed entry, a repeated document id, data after the closing
+    brace, a document without raw text, a malformed sentence, word or tree)
+    raises when iteration reaches it, after the documents before it have
+    been yielded. Each entry is dropped as its Document is built, so a
+    caller that drops each Document in turn holds one document at a time.
+    Extra raw entries are ignored; dependency parses present in the file
+    are discarded.
     """
-    text = _read_text(parses_json)
-    try:
-        data = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"malformed parses JSON: {exc}") from exc
-    if not isinstance(data, dict):
+    entries = _decode_entries(_read_text(parses_json))
+    first = next(entries, None)
+    if first is None:
+        return iter(())
+    return _build_documents(chain((first,), entries), raw_texts)
+
+
+def _decode_entries(text):
+    """(doc_id, decoded entry) for each member of the parses JSON object,
+    in file order, decoding one member per step; malformed JSON or a
+    repeated doc_id raises InputFormatError from the step that meets it."""
+    if not text.strip():
+        return
+    skip = _JSON_WHITESPACE.match
+    decode = json.JSONDecoder().raw_decode
+    index = skip(text).end()
+    if not text.startswith("{", index):
         raise InputFormatError("parses JSON must be an object keyed by document id")
-    return _build_documents(data, raw_texts)
+    seen = set()
+    try:
+        index = skip(text, index + 1).end()
+        more = not text.startswith("}", index)
+        while more:
+            doc_id, end = decode(text, index)
+            if not isinstance(doc_id, str):
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, index)
+            if doc_id in seen:
+                raise InputFormatError(f"parses JSON repeats document id '{doc_id}'")
+            seen.add(doc_id)
+            index = skip(text, end).end()
+            if not text.startswith(":", index):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, index)
+            entry, end = decode(text, skip(text, index + 1).end())
+            yield doc_id, entry
+            index = skip(text, end).end()
+            more = text.startswith(",", index)
+            if more:
+                index = skip(text, index + 1).end()
+            elif not text.startswith("}", index):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, index)
+        index = skip(text, index + 1).end()
+        if index != len(text):
+            raise json.JSONDecodeError("Extra data", text, index)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputFormatError(f"malformed parses JSON: {exc}") from exc
 
 
-def _build_documents(data, raw_texts):
-    for doc_id in list(data):
-        doc_data = data.pop(doc_id)
+def _build_documents(entries, raw_texts):
+    for doc_id, doc_data in entries:
         if doc_id not in raw_texts:
             raise MissingDocumentError(f"no raw text for document '{doc_id}'")
         yield _build_document(doc_id, doc_data, raw_texts[doc_id])
@@ -202,7 +247,7 @@ def load_relations(relations_jsonl):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputFormatError(f"line {line_number}: malformed JSON: {exc}") from exc
         relations.append(_relation_from_json(obj, line_number))
     return relations

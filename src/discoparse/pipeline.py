@@ -186,7 +186,7 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"model file '{path}' is not JSON: {exc}") from exc
     version = data.get("format_version") if isinstance(data, dict) else None
     if version != MODEL_FORMAT_VERSION:
@@ -199,6 +199,6 @@ def load_model(path):
             usage_tree=tree_from_json(data["usage_tree"]),
             argument_tree=tree_from_json(data["argument_tree"]),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ModelFormatError(
             f"model file '{path}' is incomplete or malformed: {exc}") from exc

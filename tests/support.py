@@ -3,11 +3,12 @@
 The leaf extractor, the entropy calculator, the whole-tree cover search,
 the root-down node contexts and the brute-force pruning filter re-derive their answers from first
 principles so the tests they feed do not lean on the code paths under test.
-The scanning scorer and the two training-set builders are earlier versions
-of package code, kept as references that the current versions must agree
-with.
+The scanning scorer, the two training-set builders and the whole-file
+parses reader are earlier versions of package code, kept as references
+that the current versions must agree with.
 """
 
+import json
 import logging
 import math
 import re
@@ -60,6 +61,31 @@ def build_document_json(bracketings):
         sentences.append({"parsetree": bracketing, "words": words})
         raw_parts.append(" ".join(word for _, word in leaves))
     return {"sentences": sentences}, "\n".join(raw_parts)
+
+
+def reference_parses(text):
+    """(doc_id, tokens, bracketings) per document of a parses JSON text,
+    decoded whole with json.loads as the package did before it decoded
+    one document at a time; a token is (surface, begin, end, pos).
+    """
+    return [(doc_id,
+             [(word, attrs["CharacterOffsetBegin"], attrs["CharacterOffsetEnd"],
+               attrs["PartOfSpeech"])
+              for sentence in entry["sentences"] for word, attrs in sentence["words"]],
+             [sentence["parsetree"] for sentence in entry["sentences"]])
+            for doc_id, entry in json.loads(text).items()]
+
+
+# JSON text nested deeper than Python's decoder can follow.
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+def nested_branches_json(depth):
+    """JSON text of a decision tree that is a chain of depth branches,
+    written as text because json.dumps recurses as well."""
+    leaf = '{"kind": "leaf", "label": "x", "distribution": {"x": 1}}'
+    branch = '{"kind": "branch", "feature": "f", "majority_child": "v", "children": {"v": '
+    return branch * depth + leaf + "}}" * depth
 
 
 def walk_exact_cover_chain(tree, token_range):

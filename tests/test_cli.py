@@ -18,7 +18,7 @@ import discoparse.cli
 from discoparse.cli import main
 
 import fixture_corpus
-from support import build_document_json
+from support import DEEP_ARRAY, build_document_json, nested_branches_json
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +284,36 @@ def test_parse_deep_tree_never_prints_a_traceback(trained_model_path, tmp_path,
         assert len(load_relations(out.read_bytes())) == 1
     else:
         assert "missing ')'" in result.stderr
+
+
+@pytest.mark.parametrize("reader", ["parses", "relations", "model"])
+def test_deeply_nested_json_exits_2(corpus_on_disk, trained_model_path,
+                                    tmp_path, reader):
+    parses, model = corpus_on_disk / "parses.json", trained_model_path
+    if reader == "parses":
+        # After every fixture document, so that parsing is under way.
+        text = parses.read_text(encoding="utf-8").rstrip()
+        parses = tmp_path / "parses.json"
+        parses.write_text(f'{text[:-1]}, "deep": {DEEP_ARRAY}}}', encoding="utf-8")
+    elif reader == "model":
+        data = json.loads(model.read_text())
+        data["usage_tree"] = "DEEP"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data).replace('"DEEP"', nested_branches_json(2000)))
+    out = tmp_path / "out.jsonl"
+    if reader == "relations":
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"DocID": ' * 5000 + "0" + "}" * 5000 + "\n")
+        result = _run_cli(["score", "--gold", str(corpus_on_disk / "relations.jsonl"),
+                           "--pred", str(pred)])
+    else:
+        result = _run_cli(["parse", "--model", str(model), "--parses", str(parses),
+                           "--raw", str(corpus_on_disk / "raw"), "--out", str(out)])
+    assert result.returncode == 2, result.stderr
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 def test_parse_keeps_crlf_offsets(trained_model_path, tmp_path):

@@ -1,7 +1,11 @@
 import json
+import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discoparse import (export_relations, iter_parses, load_parses,
                         load_relations, mine_lexicon, score)
@@ -10,7 +14,8 @@ from discoparse.errors import (AlignmentError, ExportError, InputFormatError,
                                MissingDocumentError)
 
 import fixture_corpus
-from support import build_document_json
+from support import (DEEP_ARRAY, build_document_json, random_tree_text,
+                     reference_parses)
 
 
 def test_load_reference_document(reference_document):
@@ -33,6 +38,13 @@ def test_documents_and_sentences_are_frozen(reference_document):
         sentence.tree = None
     assert reference_document.tokens is reference_document.tokens
     assert reference_document.tokens == sentence.tokens
+
+
+def test_tokens_are_slotted_and_frozen(reference_document):
+    token = reference_document.tokens[0]
+    assert not hasattr(token, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        token.surface = "other"
 
 
 def test_load_empty_inputs():
@@ -119,6 +131,85 @@ def test_iter_parses_reports_a_document_error_when_it_is_reached():
     with pytest.raises(MissingDocumentError) as excinfo:
         next(documents)
     assert "'b'" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("tail, message", [
+    (', "a": ENTRY}', "repeats document id 'a'"),
+    ("} x", "Extra data"),
+    (', "c": {"sentences": [', "malformed parses JSON"),
+    (", 7: ENTRY}", "Expecting property name"),
+], ids=["duplicate-doc-id", "trailing-data", "truncated", "non-string-key"])
+def test_iter_parses_reports_a_json_error_when_it_is_reached(tail, message):
+    good, raw = build_document_json(["(S (NN dog))"])
+    entry = json.dumps(good)
+    text = f'{{"a": {entry}, "b": {entry}' + tail.replace("ENTRY", entry)
+    documents = iter_parses(text, {"a": raw, "b": raw, "c": raw})
+    assert [next(documents).doc_id, next(documents).doc_id] == ["a", "b"]
+    with pytest.raises(InputFormatError) as excinfo:
+        next(documents)
+    assert message in str(excinfo.value)
+
+
+def _random_corpus(rng, doc_ids):
+    """Parses JSON object and raw texts for random documents of one to
+    three sentences each."""
+    parses, raw_texts = {}, {}
+    for doc_id in doc_ids:
+        bracketings = [random_tree_text(rng, max_depth=4)
+                       for _ in range(rng.randint(1, 3))]
+        parses[doc_id], raw_texts[doc_id] = build_document_json(bracketings)
+    return parses, raw_texts
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(doc_ids=st.lists(st.text(alphabet=st.characters(blacklist_categories=["Cs"]),
+                                 max_size=6), unique=True, max_size=5),
+       rng=st.randoms(use_true_random=False),
+       indent=st.sampled_from([None, 0, 2, "\t", " \r\n"]),
+       separators=st.sampled_from([(",", ":"), (", ", ": "), (" ,\r\n", "\t: ")]),
+       ensure_ascii=st.booleans())
+def test_iter_parses_agrees_with_json_loads(doc_ids, rng, indent, separators,
+                                            ensure_ascii):
+    parses, raw_texts = _random_corpus(rng, doc_ids)
+    text = json.dumps(parses, indent=indent, separators=separators,
+                      ensure_ascii=ensure_ascii)
+    streamed = [(document.doc_id,
+                 [(t.surface, t.char_begin, t.char_end, t.pos) for t in document.tokens],
+                 [sentence.tree.to_bracketing() for sentence in document.sentences])
+                for document in iter_parses(text, raw_texts)]
+    assert streamed == reference_parses(text)
+
+
+def test_iter_parses_never_holds_the_whole_decoded_file():
+    parses, raw_texts = _random_corpus(random.Random(7), [f"d{i:03}" for i in range(200)])
+    text = json.dumps(parses)
+    del parses
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        whole_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for document in iter_parses(text, raw_texts):
+            del document
+        streamed_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed_peak < whole_peak / 4, (streamed_peak, whole_peak)
+
+
+@pytest.mark.parametrize("position", ["first", "second"])
+def test_iter_parses_rejects_deeply_nested_json(position):
+    good, raw = build_document_json(["(S (NN dog))"])
+    if position == "first":
+        with pytest.raises(InputFormatError) as excinfo:
+            iter_parses(f'{{"a": {DEEP_ARRAY}}}', {"a": raw})
+    else:
+        documents = iter_parses(f'{{"a": {json.dumps(good)}, "b": {DEEP_ARRAY}}}',
+                                {"a": raw, "b": raw})
+        assert next(documents).doc_id == "a"
+        with pytest.raises(InputFormatError) as excinfo:
+            next(documents)
+    assert "malformed parses JSON" in str(excinfo.value)
 
 
 def test_leaf_word_count_mismatch():
@@ -220,6 +311,18 @@ def test_load_relations_non_integer_id(relation_id):
     with pytest.raises(InputFormatError) as excinfo:
         load_relations(line.encode())
     assert "ID must be an integer" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")],
+                         ids=["arrays", "objects"])
+def test_load_relations_rejects_deeply_nested_json(opening, closing):
+    good = json.dumps({"DocID": "d", "ID": 0, "Type": "Explicit", "Sense": ["x"],
+                       "Connective": {"TokenList": [0]},
+                       "Arg1": {"TokenList": [1]}, "Arg2": {"TokenList": [2]}})
+    deep = opening * 5000 + closing * 5000
+    with pytest.raises(InputFormatError) as excinfo:
+        load_relations(f"{good}\n{deep}\n".encode())
+    assert "line 2: malformed JSON" in str(excinfo.value)
 
 
 def test_export_reference_relation(reference_document):

@@ -20,8 +20,8 @@ from discoparse.errors import (DiscoParseError, ModelFormatError,
 from discoparse.pipeline import build_datasets, load_model, save_model
 
 import fixture_corpus
-from support import (build_argument_dataset, build_document_json,
-                     build_usage_dataset)
+from support import (DEEP_ARRAY, build_argument_dataset, build_document_json,
+                     build_usage_dataset, nested_branches_json)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +319,24 @@ def test_model_lexicon_entry_without_senses_is_a_format_error(tmp_path,
     with pytest.raises(ModelFormatError) as excinfo:
         load_model(path)
     assert "lexicon entry 'when' has no senses" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("part", ["usage-tree", "lexicon"])
+def test_deeply_nested_model_is_a_format_error(tmp_path, trained, part):
+    _, _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    if part == "usage-tree":
+        deep = nested_branches_json(2000)
+        data["usage_tree"] = "DEEP"
+    else:
+        deep = DEEP_ARRAY
+        data["lexicon"]["entries"] = "DEEP"
+    path.write_text(json.dumps(data).replace('"DEEP"', deep))
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert f"model file '{path}'" in str(excinfo.value)
 
 
 def test_annotate_sense_single_observation():
