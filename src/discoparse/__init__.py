@@ -15,12 +15,11 @@ from .connective_annotator import (ConnectiveCandidate, classify_usage,
                                    extract_connective_features,
                                    find_candidates)
 from .connective_lexicon import (ConnectiveLexicon, ConnectiveStats,
-                                 annotate_sense, mine_lexicon,
-                                 most_frequent_sense)
+                                 annotate_sense, mine_lexicon)
 from .corpus_io import (DiscourseRelation, Document, Sentence, Token,
                         export_relations, iter_parses, load_parses,
                         load_relations)
-from .decision_tree import Branch, Instance, Leaf, gain_ratio, predict, train
+from .decision_tree import Branch, Instance, Leaf, predict, train
 from .errors import DiscoParseError
 from .evaluation import PRF, score
 from .parse_tree import (ConstituentNode, exact_cover_chain, node_context,
@@ -37,9 +36,9 @@ __all__ = [
     "ParserModel", "Sentence", "Token",
     "annotate_sense", "classify_usage", "exact_cover_chain",
     "export_relations", "extract_connective_features",
-    "extract_node_features", "find_candidates", "gain_ratio", "iter_parses",
+    "extract_node_features", "find_candidates", "iter_parses",
     "load_model", "load_parses", "load_relations", "merge_arguments",
-    "mine_lexicon", "most_frequent_sense", "node_context", "parse_document",
+    "mine_lexicon", "node_context", "parse_document",
     "parse_ptb", "path_to_root", "predict", "prune_candidates",
     "render_path", "save_model", "score", "train", "train_model",
 ]

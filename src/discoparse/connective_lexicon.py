@@ -73,32 +73,19 @@ def mine_lexicon(gold, documents):
     return ConnectiveLexicon(entries)
 
 
-def most_frequent_sense(lexicon, connective):
-    """Sense with the highest count for the connective.
-
-    Ties break to the lexicographically smallest sense label so repeated
-    runs agree. Raises KeyError for connectives outside the lexicon.
-    """
-    if connective not in lexicon.entries:
-        raise KeyError(f"connective '{connective}' not in lexicon")
-    sense_counts = lexicon.entries[connective].sense_counts
-    if not sense_counts:
-        raise KeyError(f"connective '{connective}' has no observed senses")
-    top = max(sense_counts.values())
-    return min(sense for sense, count in sense_counts.items() if count == top)
-
-
 def annotate_sense(relation, lexicon, key):
     """Replace the relation's senses with the most frequent sense of the
-    connective whose lexicon key is key.
+    connective whose lexicon key is key. Ties break to the
+    lexicographically smallest sense label so repeated runs agree.
 
     Only the senses field changes. A key with no sense in the lexicon is a
     pipeline invariant violation, not a recoverable condition.
     """
-    try:
-        sense = most_frequent_sense(lexicon, key)
-    except KeyError as exc:
-        raise DiscoParseError(f"connective '{key}' has no sense in the lexicon") from exc
+    stats = lexicon.entries.get(key)
+    if stats is None or not stats.sense_counts:
+        raise DiscoParseError(f"connective '{key}' has no sense in the lexicon")
+    top = max(stats.sense_counts.values())
+    sense = min(sense for sense, count in stats.sense_counts.items() if count == top)
     return replace(relation, senses=(sense,))
 
 

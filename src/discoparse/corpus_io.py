@@ -21,7 +21,7 @@ from itertools import chain
 
 from .errors import (AlignmentError, ExportError, InputFormatError,
                      MissingDocumentError, TreeParseError)
-from .parse_tree import ConstituentNode, parse_ptb
+from .parse_tree import ConstituentNode, _parse_ptb_leaves
 
 RELATION_TYPES = frozenset({"Explicit", "Implicit", "AltLex", "EntRel"})
 
@@ -30,10 +30,6 @@ PTB_ESCAPES = {"-LRB-": "(", "-RRB-": ")", "-LCB-": "{", "-RCB-": "}"}
 
 # The whitespace JSON allows between tokens (str.isspace is wider).
 _JSON_WHITESPACE = re.compile(r"[ \t\n\r]*")
-
-
-def normalize_ptb_escapes(surface):
-    return PTB_ESCAPES.get(surface, surface)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +62,6 @@ class Sentence:
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    raw_text: str
     sentences: tuple[Sentence, ...]
 
     @cached_property
@@ -162,7 +157,7 @@ def _build_documents(entries, raw_texts):
     for doc_id, doc_data in entries:
         if doc_id not in raw_texts:
             raise MissingDocumentError(f"no raw text for document '{doc_id}'")
-        yield _build_document(doc_id, doc_data, raw_texts[doc_id])
+        yield _build_document(doc_id, doc_data, len(raw_texts[doc_id]))
 
 
 def load_parses(parses_json, raw_texts):
@@ -170,18 +165,20 @@ def load_parses(parses_json, raw_texts):
     return list(iter_parses(parses_json, raw_texts))
 
 
-def _build_document(doc_id, doc_data, raw_text):
+def _build_document(doc_id, doc_data, text_length):
     if not isinstance(doc_data, dict) or not isinstance(doc_data.get("sentences"), list):
         raise InputFormatError(f"document '{doc_id}': missing 'sentences' array")
     sentences = []
     doc_index = 0
+    last_begin = -1
+    unescape = PTB_ESCAPES.get
     for sent_index, entry in enumerate(doc_data["sentences"]):
         where = f"document '{doc_id}' sentence {sent_index}"
         if not isinstance(entry, dict) or "parsetree" not in entry \
                 or not isinstance(entry.get("words"), list):
             raise InputFormatError(f"{where}: missing 'parsetree' or 'words' array")
         try:
-            tree = parse_ptb(entry["parsetree"])
+            tree, leaves = _parse_ptb_leaves(entry["parsetree"])
         except TreeParseError as exc:
             raise InputFormatError(f"{where}: {exc}") from exc
         tokens = []
@@ -199,27 +196,27 @@ def _build_document(doc_id, doc_data, raw_text):
             if type(begin) is not int or type(end) is not int or not 0 <= begin < end:
                 raise InputFormatError(
                     f"{where}: word {i} has invalid character span [{begin}, {end})")
-            if end > len(raw_text):
+            if end > text_length:
                 raise InputFormatError(
                     f"{where}: word {i} ends at {end}, past the raw text")
-            if tokens and not tokens[-1].char_begin < begin:
+            if not last_begin < begin:
                 raise InputFormatError(
                     f"{where}: word {i} is not ordered by character offset")
+            last_begin = begin
             tokens.append(Token(surface, begin, end, pos,
                                 doc_index, sent_index, i))
             doc_index += 1
-        leaves = tree.terminals()
         if len(leaves) != len(tokens):
             raise AlignmentError(
                 f"{where}: parse tree has {len(leaves)} leaves "
                 f"for {len(tokens)} words")
         for leaf, token in zip(leaves, tokens):
-            if normalize_ptb_escapes(leaf.label) != normalize_ptb_escapes(token.surface):
+            if unescape(leaf.label, leaf.label) != unescape(token.surface, token.surface):
                 raise AlignmentError(
                     f"{where}: leaf '{leaf.label}' does not match "
                     f"word '{token.surface}' at position {token.index_in_sentence}")
         sentences.append(Sentence(tuple(tokens), tree, sent_index))
-    return Document(doc_id, raw_text, tuple(sentences))
+    return Document(doc_id, tuple(sentences))
 
 
 def _token_indices(token_list, line_number):
@@ -242,7 +239,9 @@ def load_relations(relations_jsonl):
     """
     text = _read_text(relations_jsonl)
     relations = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    # "\n" only: str.splitlines also breaks at U+2028, U+2029 and U+0085 inside strings.
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:

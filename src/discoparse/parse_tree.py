@@ -37,19 +37,8 @@ class ConstituentNode:
         self.token_begin = -1
         self.token_end = -1
 
-    def walk(self):
-        """Pre-order traversal (node before children, siblings left to right)."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def terminals(self):
-        return [node for node in self.walk() if node.is_terminal]
-
     def to_bracketing(self):
-        """PTB bracketing of the subtree, at any depth (explicit stack, as in walk)."""
+        """PTB bracketing of the subtree, at any depth (explicit stack, not recursion)."""
         parts = []
         stack = [self]
         while stack:
@@ -90,14 +79,15 @@ def _parse_tokens(text, tokens):
     in one pass: parents, children and covered token spans are set as
     nodes open and close.
 
-    Returns the root and the index of the first token after it. Open nodes
-    wait on an explicit stack as (node, label, token index, children), so
-    nesting depth is not bounded by the interpreter's recursion limit.
+    Returns the root, its leaves (terminals) in order and the index of the
+    first token after it. Open nodes wait on an explicit stack as (node,
+    label, token index, children), so nesting depth is not bounded by the
+    interpreter's recursion limit.
     """
     size = len(tokens)
     stack = []
+    leaves = []
     index = 0
-    next_leaf = 0
     while True:
         value = tokens[index]
         index += 1
@@ -110,7 +100,7 @@ def _parse_tokens(text, tokens):
             node.token_begin = children[0].token_begin
             node.token_end = children[-1].token_end
             if not stack:
-                return node, index
+                return node, leaves, index
         else:
             if value == "(":
                 opened = index - 1
@@ -122,9 +112,9 @@ def _parse_tokens(text, tokens):
                 node = ConstituentNode(label or "ROOT")
             else:
                 node = ConstituentNode(value, is_terminal=True)
-                node.token_begin = next_leaf
-                node.token_end = next_leaf + 1
-                next_leaf += 1
+                node.token_begin = len(leaves)
+                node.token_end = len(leaves) + 1
+                leaves.append(node)
             if stack:
                 parent, _, _, siblings = stack[-1]
                 node.parent = parent
@@ -143,6 +133,11 @@ def parse_ptb(bracketing):
     character position) on empty input, unbalanced parentheses, childless
     nodes or trailing content.
     """
+    return _parse_ptb_leaves(bracketing)[0]
+
+
+def _parse_ptb_leaves(bracketing):
+    """The root of parse_ptb and its leaves in order, from one pass."""
     if not isinstance(bracketing, str):
         raise TreeParseError(f"bracketing is not a string: {bracketing!r}")
     if not bracketing.strip():
@@ -150,11 +145,11 @@ def parse_ptb(bracketing):
     tokens = _tokenize(bracketing)
     if tokens[0] != "(":
         raise TreeParseError("expected '('", position=_char_position(bracketing, 0))
-    root, next_index = _parse_tokens(bracketing, tokens)
+    root, leaves, next_index = _parse_tokens(bracketing, tokens)
     if next_index != len(tokens):
         raise TreeParseError("trailing content after tree",
                              position=_char_position(bracketing, next_index))
-    return root
+    return root, leaves
 
 
 def _validate_range(tree, token_range):

@@ -60,8 +60,8 @@ def _node_candidates(candidate, chain, features):
 
 
 def build_datasets(documents, gold, lexicon):
-    """(usage instances, argument instances) from one walk over each
-    document's lexicon matches, the same walk parse_document makes.
+    """(usage instances, argument instances) from one pass over each
+    document's lexicon matches, the same pass parse_document makes.
 
     Each match gives one usage instance, positive iff gold explicit
     relations sit on its span. The pruned constituents of a positive match

@@ -5,7 +5,7 @@ import pytest
 from discoparse import parse_ptb
 
 import fixture_corpus
-from support import random_tree_text
+from support import random_tree_text, walk
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def random_trees():
 def nodes_by_label(tree):
     """label -> list of non-terminal nodes, in document order."""
     table = {}
-    for node in tree.walk():
+    for node in walk(tree):
         if not node.is_terminal:
             table.setdefault(node.label, []).append(node)
     return table

@@ -1,8 +1,9 @@
 """Test-side helpers kept independent of the package internals.
 
-The leaf extractor, the entropy calculator, the whole-tree cover search,
-the root-down node contexts and the brute-force pruning filter re-derive their answers from first
-principles so the tests they feed do not lean on the code paths under test.
+The leaf extractor, the tree walk, the entropy calculator, the whole-tree
+cover search, the root-down node contexts and the brute-force pruning
+filter re-derive their answers from first principles so the tests they
+feed do not lean on the code paths under test.
 The scanning scorer, the two training-set builders and the whole-file
 parses reader are earlier versions of package code, kept as references
 that the current versions must agree with.
@@ -63,6 +64,16 @@ def build_document_json(bracketings):
     return {"sentences": sentences}, "\n".join(raw_parts)
 
 
+def walk(node):
+    """Every node of the subtree, pre-order: node before children,
+    siblings left to right; an explicit stack, so any depth works."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def reference_parses(text):
     """(doc_id, tokens, bracketings) per document of a parses JSON text,
     decoded whole with json.loads as the package did before it decoded
@@ -94,11 +105,11 @@ def walk_exact_cover_chain(tree, token_range):
     without one, the lowest node covering a superset of the span, alone.
     """
     begin, end = token_range
-    chain = [node for node in tree.walk()
+    chain = [node for node in walk(tree)
              if not node.is_terminal
              and node.token_begin == begin and node.token_end == end]
     if chain:
-        chain.reverse()  # walk() yields ancestors first
+        chain.reverse()  # walk yields ancestors first
         return chain
     node = tree
     while True:
@@ -139,7 +150,7 @@ def bruteforce_prune(root, anchor):
         path.append(node)
         node = node.parent
     on_path = {id(n) for n in path}
-    return [n for n in root.walk()
+    return [n for n in walk(root)
             if not n.is_terminal
             and id(n) not in on_path
             and n.parent is not None

@@ -12,18 +12,18 @@ import pytest
 
 from discoparse import (ConnectiveLexicon, Leaf, exact_cover_chain,
                         export_relations, extract_connective_features,
-                        extract_node_features, find_candidates, gain_ratio,
+                        extract_node_features, find_candidates,
                         load_parses, load_relations, mine_lexicon,
                         parse_document, parse_ptb, prune_candidates, score,
                         train, train_model)
 from discoparse.connective_annotator import USAGE_POSITIVE
 from discoparse.connective_lexicon import ConnectiveStats
-from discoparse.decision_tree import Branch
+from discoparse.decision_tree import Branch, gain_ratio
 from discoparse.pipeline import ParserModel
 
 import fixture_corpus
 from support import (bruteforce_prune, build_document_json, oracle_gain_ratio,
-                     random_tree_text)
+                     random_tree_text, walk)
 from test_decision_tree import FEATURES, weather_instances
 
 
@@ -50,7 +50,7 @@ def test_golden_connective_and_node_features():
     assert conn["self_cat_left_sibling"] == "null"
     assert conn["self_cat_right_sibling"] == "S"
 
-    sbar = next(n for n in sentence.tree.walk() if n.label == "SBAR")
+    sbar = next(n for n in walk(sentence.tree) if n.label == "SBAR")
     clause = sbar.children[1]
     node = extract_node_features(clause, candidate, conn, chain[-1])
     assert node["path_to_self_cat"] == "S ↑ SBAR ↓ WHADVP"
@@ -64,7 +64,7 @@ def test_pruning_oracle():
     mismatches = 0
     for _ in range(200):
         tree = parse_ptb(random_tree_text(rng, max_depth=8, max_branch=4))
-        preterminals = [n for n in tree.walk()
+        preterminals = [n for n in walk(tree)
                         if not n.is_terminal and n.children[0].is_terminal]
         anchor = rng.choice(preterminals)
         ours = {id(n) for n in prune_candidates(anchor)}
@@ -76,7 +76,7 @@ def test_pruning_oracle():
     document = fixture_corpus.reference_document()
     tree = document.sentences[0].tree
     by_label = {}
-    for n in tree.walk():
+    for n in walk(tree):
         if not n.is_terminal:
             by_label.setdefault(n.label, []).append(n)
     wrb = by_label["WRB"][0]

@@ -13,7 +13,7 @@ from discoparse.errors import PredictionError
 
 import fixture_corpus
 from conftest import nodes_by_label
-from support import bruteforce_prune, random_tree_text
+from support import bruteforce_prune, random_tree_text, walk
 
 
 def _reference_parts(document):
@@ -61,7 +61,7 @@ def test_pruning_from_root_yields_its_children(reference_document):
 def test_pruning_matches_bruteforce(random_trees):
     rng = random.Random(41)
     for tree in random_trees:
-        preterminals = [n for n in tree.walk()
+        preterminals = [n for n in walk(tree)
                         if not n.is_terminal and n.children[0].is_terminal]
         anchor = rng.choice(preterminals)
         pruned = prune_candidates(anchor)
@@ -83,7 +83,7 @@ def test_pruning_order_matches_bruteforce():
     rng = random.Random(20150526)
     for _ in range(200):
         tree = parse_ptb(random_tree_text(rng, max_depth=8, max_branch=4))
-        anchor = rng.choice([n for n in tree.walk() if not n.is_terminal])
+        anchor = rng.choice([n for n in walk(tree) if not n.is_terminal])
         pruned = prune_candidates(anchor)
         oracle = bruteforce_prune(tree, anchor)
         assert len(pruned) == len(oracle)

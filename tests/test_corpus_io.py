@@ -4,18 +4,18 @@ import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discoparse import (export_relations, iter_parses, load_parses,
                         load_relations, mine_lexicon, score)
-from discoparse.corpus_io import DiscourseRelation, normalize_ptb_escapes
+from discoparse.corpus_io import PTB_ESCAPES, DiscourseRelation
 from discoparse.errors import (AlignmentError, ExportError, InputFormatError,
                                MissingDocumentError)
 
 import fixture_corpus
 from support import (DEEP_ARRAY, build_document_json, random_tree_text,
-                     reference_parses)
+                     reference_parses, walk)
 
 
 def test_load_reference_document(reference_document):
@@ -23,7 +23,7 @@ def test_load_reference_document(reference_document):
     assert len(doc.sentences) == 1
     sentence = doc.sentences[0]
     assert len(sentence.tokens) == 11
-    leaves = sentence.tree.terminals()
+    leaves = [n for n in walk(sentence.tree) if n.is_terminal]
     assert leaves[5].label == "when"
     assert leaves[5].parent.label == "WRB"
     assert sentence.tokens[5].surface == "when"
@@ -55,21 +55,24 @@ def test_load_empty_inputs():
 def test_token_alignment_exhaustive(corpus_documents):
     # Every token slice of the raw text must reproduce the surface, and the
     # inter-token gaps plus surfaces must rebuild the raw text exactly.
+    _, raw_texts = fixture_corpus.corpus_parses_and_raw()
     for doc in corpus_documents.values():
+        raw_text = raw_texts[doc.doc_id]
         rebuilt = []
         cursor = 0
         for token in doc.tokens:
-            assert doc.raw_text[token.char_begin:token.char_end] == \
-                normalize_ptb_escapes(token.surface)
-            rebuilt.append(doc.raw_text[cursor:token.char_begin])
-            rebuilt.append(normalize_ptb_escapes(token.surface))
+            surface = PTB_ESCAPES.get(token.surface, token.surface)
+            assert raw_text[token.char_begin:token.char_end] == surface
+            rebuilt.append(raw_text[cursor:token.char_begin])
+            rebuilt.append(surface)
             cursor = token.char_end
-        rebuilt.append(doc.raw_text[cursor:])
-        assert "".join(rebuilt) == doc.raw_text
+        rebuilt.append(raw_text[cursor:])
+        assert "".join(rebuilt) == raw_text
         doc_indices = [t.doc_index for t in doc.tokens]
         assert doc_indices == list(range(len(doc_indices)))
         for sentence in doc.sentences:
-            assert len(sentence.tree.terminals()) == len(sentence.tokens)
+            leaves = [n for n in walk(sentence.tree) if n.is_terminal]
+            assert len(leaves) == len(sentence.tokens)
 
 
 def test_doc_span_matches_token_lookup(corpus_documents):
@@ -93,11 +96,11 @@ def test_bracket_escapes_align_to_raw_text():
             ["-RRB-", {"CharacterOffsetBegin": 6, "CharacterOffsetEnd": 7,
                        "PartOfSpeech": "-RRB-"}],
         ]}]}
-    docs = load_parses(json.dumps({"d": entry}).encode(), {"d": "( fee )"})
+    raw_text = "( fee )"
+    docs = load_parses(json.dumps({"d": entry}).encode(), {"d": raw_text})
     token = docs[0].sentences[0].tokens[0]
     assert token.surface == "-LRB-"
-    assert docs[0].raw_text[token.char_begin:token.char_end] == \
-        normalize_ptb_escapes(token.surface)
+    assert raw_text[token.char_begin:token.char_end] == PTB_ESCAPES[token.surface]
 
 
 def test_unicode_offsets_count_code_points():
@@ -217,14 +220,30 @@ def test_leaf_word_count_mismatch():
     entry["sentences"][0]["words"] = entry["sentences"][0]["words"][:1]
     with pytest.raises(AlignmentError) as excinfo:
         load_parses(json.dumps({"d": entry}).encode(), {"d": raw})
-    assert "sentence 0" in str(excinfo.value)
+    assert str(excinfo.value) == \
+        "document 'd' sentence 0: parse tree has 2 leaves for 1 words"
 
 
 def test_leaf_surface_mismatch():
-    entry, raw = build_document_json(["(S (NN dog))"])
-    entry["sentences"][0]["words"][0][0] = "cat"
-    with pytest.raises(AlignmentError):
+    entry, raw = build_document_json(["(S (NN dog) (VB runs))", "(S (NN dog))"])
+    entry["sentences"][1]["words"][0][0] = "cat"
+    with pytest.raises(AlignmentError) as excinfo:
         load_parses(json.dumps({"d": entry}).encode(), {"d": raw + "cat"})
+    assert str(excinfo.value) == \
+        "document 'd' sentence 1: leaf 'dog' does not match word 'cat' at position 0"
+
+
+@pytest.mark.parametrize("sentence, word, begin", [(0, 1, 0), (1, 0, 2), (1, 0, 0)],
+                         ids=["within-sentence", "across-sentences", "same-as-first"])
+def test_word_offsets_increase_through_the_document(sentence, word, begin):
+    entry, raw = build_document_json(["(S (NN dog) (VB runs))", "(S (NN dog))"])
+    offsets = entry["sentences"][sentence]["words"][word][1]
+    offsets["CharacterOffsetBegin"] = begin
+    offsets["CharacterOffsetEnd"] = begin + 3
+    with pytest.raises(InputFormatError) as excinfo:
+        load_parses(json.dumps({"d": entry}).encode(), {"d": raw})
+    assert str(excinfo.value) == \
+        f"document 'd' sentence {sentence}: word {word} is not ordered by character offset"
 
 
 def test_missing_raw_text():
@@ -345,6 +364,31 @@ def test_relations_round_trip(corpus_documents, corpus_gold):
     data = export_relations(corpus_gold, corpus_documents)
     assert load_relations(data) == corpus_gold
     assert export_relations(corpus_gold, corpus_documents) == data
+
+
+# Characters that str.splitlines treats as line ends. JSON escapes those
+# below U+0020; export_relations writes U+0085, U+2028 and U+2029 raw.
+_LINE_ENDS = "\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_awkward_text = st.text(st.one_of(st.sampled_from(_LINE_ENDS),
+                                  st.characters(blacklist_categories=["Cs"])),
+                        min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(doc_ids=st.lists(_awkward_text, min_size=1, max_size=3, unique=True),
+       senses=st.lists(st.lists(_awkward_text, min_size=1, max_size=2),
+                       min_size=1, max_size=4),
+       conll_tokenlist=st.booleans())
+@example(doc_ids=["d\u2029"], senses=[["S\u2028A"], ["\x85"]], conll_tokenlist=False)
+def test_relations_round_trip_through_unicode_line_ends(doc_ids, senses, conll_tokenlist):
+    document = fixture_corpus.reference_document()
+    relations = [DiscourseRelation(doc_ids[i % len(doc_ids)], i, "Explicit",
+                                   (5,), (0, 1), (6, 7), tuple(rel_senses))
+                 for i, rel_senses in enumerate(senses)]
+    data = export_relations(relations, dict.fromkeys(doc_ids, document),
+                            conll_tokenlist)
+    assert load_relations(data) == relations
+    assert load_relations(data.replace(b"\n", b"\r\n")) == relations
 
 
 def test_relations_round_trip_conll_tokenlist(corpus_documents, corpus_gold):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from discoparse import Branch, Instance, Leaf, gain_ratio, predict, train
-from discoparse.decision_tree import (tree_from_json, tree_size, tree_support,
-                                     tree_to_json)
+from discoparse import Branch, Instance, Leaf, predict, train
+from discoparse.decision_tree import (gain_ratio, tree_from_json, tree_size,
+                                     tree_support, tree_to_json)
 from discoparse.errors import PredictionError, TrainingError
 
 from support import oracle_gain_ratio

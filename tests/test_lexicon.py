@@ -3,13 +3,19 @@ import random
 import pytest
 
 from discoparse import (ConnectiveLexicon, ConnectiveStats, DiscourseRelation,
-                        mine_lexicon, most_frequent_sense)
-from discoparse.errors import DataError
+                        annotate_sense, mine_lexicon)
+from discoparse.errors import DataError, DiscoParseError
 
 
 def _explicit(doc_id, rel_id, conn, sense, arg1=(0,), arg2=(1,)):
     return DiscourseRelation(doc_id, rel_id, "Explicit", conn, arg1, arg2,
                              (sense,) if isinstance(sense, str) else tuple(sense))
+
+
+def _most_frequent_sense(lexicon, key):
+    """The one sense annotate_sense gives a relation matched as key."""
+    (sense,) = annotate_sense(_explicit("d", 0, (0,), "placeholder"), lexicon, key).senses
+    return sense
 
 
 def test_mine_counts_per_sense(corpus_documents):
@@ -23,7 +29,7 @@ def test_mine_counts_per_sense(corpus_documents):
     assert entry.total_count == 3
     assert entry.sense_counts == {"Temporal.Synchrony": 2,
                                   "Contingency.Condition": 1}
-    assert most_frequent_sense(lexicon, "when") == "Temporal.Synchrony"
+    assert _most_frequent_sense(lexicon, "when") == "Temporal.Synchrony"
 
 
 def test_mine_skips_non_explicit(corpus_documents):
@@ -105,18 +111,26 @@ def test_mine_connective_outside_document_is_data_error(corpus_documents,
 def test_most_frequent_sense_single_observation():
     lexicon = ConnectiveLexicon({"until": ConnectiveStats(
         1, {"Temporal.Asynchronous.Precedence": 1})})
-    assert most_frequent_sense(lexicon, "until") == \
+    assert _most_frequent_sense(lexicon, "until") == \
         "Temporal.Asynchronous.Precedence"
 
 
 def test_most_frequent_sense_tie_breaks_lexicographically():
     lexicon = ConnectiveLexicon({"c": ConnectiveStats(10, {"B": 5, "A": 5})})
-    assert most_frequent_sense(lexicon, "c") == "A"
+    assert _most_frequent_sense(lexicon, "c") == "A"
 
 
 def test_most_frequent_sense_unknown_connective():
-    with pytest.raises(KeyError):
-        most_frequent_sense(ConnectiveLexicon(), "nowhere")
+    with pytest.raises(DiscoParseError) as excinfo:
+        _most_frequent_sense(ConnectiveLexicon(), "nowhere")
+    assert str(excinfo.value) == "connective 'nowhere' has no sense in the lexicon"
+
+
+def test_most_frequent_sense_of_an_entry_without_senses():
+    lexicon = ConnectiveLexicon({"nowhere": ConnectiveStats(0, {})})
+    with pytest.raises(DiscoParseError) as excinfo:
+        _most_frequent_sense(lexicon, "nowhere")
+    assert str(excinfo.value) == "connective 'nowhere' has no sense in the lexicon"
 
 
 def test_most_frequent_sense_matches_bruteforce_scan():
@@ -125,7 +139,7 @@ def test_most_frequent_sense_matches_bruteforce_scan():
     for _ in range(50):
         counts = {s: rng.randint(1, 9) for s in rng.sample(senses, rng.randint(1, 6))}
         lexicon = ConnectiveLexicon({"k": ConnectiveStats(sum(counts.values()), counts)})
-        picked = most_frequent_sense(lexicon, "k")
+        picked = _most_frequent_sense(lexicon, "k")
         best = max(counts.values())
         scan_winners = sorted(s for s, c in counts.items() if c == best)
         assert picked == scan_winners[0]

@@ -5,10 +5,12 @@ import pytest
 from discoparse import (exact_cover_chain, node_context, parse_ptb,
                         path_to_root, render_path)
 from discoparse.errors import TreeParseError
+from discoparse.parse_tree import _parse_ptb_leaves
 
 import fixture_corpus
 from conftest import nodes_by_label
-from support import random_tree_text, walk_exact_cover_chain, walk_node_contexts
+from support import (random_tree_text, walk, walk_exact_cover_chain,
+                     walk_node_contexts)
 
 
 def test_reference_tree_structure(reference_tree):
@@ -16,7 +18,7 @@ def test_reference_tree_structure(reference_tree):
     assert [c.label for c in reference_tree.children] == ["NP", "VP"]
     sbar = nodes_by_label(reference_tree)["SBAR"][0]
     assert [c.label for c in sbar.children] == ["WHADVP", "S"]
-    leaves = reference_tree.terminals()
+    leaves = [n for n in walk(reference_tree) if n.is_terminal]
     assert len(leaves) == 11
     assert leaves[5].label == "when"
     assert leaves[5].parent.label == "WRB"
@@ -104,10 +106,10 @@ def test_path_to_root_of_root(reference_tree):
 def test_path_to_root_is_parent_chain(random_trees):
     for tree in random_trees[:50]:
         depths = {id(tree): 0}
-        for node in tree.walk():
+        for node in walk(tree):
             for child in node.children:
                 depths[id(child)] = depths[id(node)] + 1
-        for node in tree.walk():
+        for node in walk(tree):
             path = path_to_root(node)
             assert path[-1] is tree
             for child, parent in zip(path, path[1:]):
@@ -144,7 +146,7 @@ def test_render_path_different_trees():
 def test_render_path_reversal(random_trees):
     rng = random.Random(7)
     for tree in random_trees[:40]:
-        nodes = [n for n in tree.walk() if not n.is_terminal]
+        nodes = [n for n in walk(tree) if not n.is_terminal]
         a, b = rng.choice(nodes), rng.choice(nodes)
         forward = render_path(a, b).split(" ")
         backward = render_path(b, a).split(" ")
@@ -156,7 +158,7 @@ def test_render_path_reversal(random_trees):
 def test_render_path_has_at_most_one_direction_change(random_trees):
     rng = random.Random(17)
     for tree in random_trees[:30]:
-        nodes = [n for n in tree.walk() if not n.is_terminal]
+        nodes = [n for n in walk(tree) if not n.is_terminal]
         for _ in range(10):
             a, b = rng.choice(nodes), rng.choice(nodes)
             glyphs = [t for t in render_path(a, b).split(" ")
@@ -186,20 +188,20 @@ def test_node_context_object_np(reference_tree):
 def test_node_context_matches_root_down_oracle(random_trees):
     for tree in random_trees:
         oracle = walk_node_contexts(tree)
-        for node in tree.walk():
+        for node in walk(tree):
             assert node_context(node) == oracle[id(node)]
 
 
 def test_children_are_tuples_and_terminals_have_none(random_trees):
     for tree in random_trees:
-        for node in tree.walk():
+        for node in walk(tree):
             assert type(node.children) is tuple
             assert node.is_terminal == (node.children == ())
 
 
 def test_self_cat_is_ancestor_or_self(random_trees):
     for tree in random_trees[:50]:
-        for node in tree.walk():
+        for node in walk(tree):
             found = exact_cover_chain(tree, (node.token_begin, node.token_end))[-1]
             ancestors = {id(n) for n in path_to_root(node)}
             assert id(found) in ancestors
@@ -209,7 +211,7 @@ def test_self_cat_is_ancestor_or_self(random_trees):
 
 def test_covered_tokens_concatenate(random_trees):
     for tree in random_trees[:50]:
-        for node in tree.walk():
+        for node in walk(tree):
             if node.is_terminal:
                 continue
             begin = node.token_begin
@@ -219,11 +221,24 @@ def test_covered_tokens_concatenate(random_trees):
             assert begin == node.token_end
 
 
+def test_reader_leaves_are_the_terminals_in_order():
+    # Loading aligns these leaves with the words, so they must be exactly
+    # the tree's terminals, left to right.
+    rng = random.Random(23)
+    for _ in range(100):
+        tree, leaves = _parse_ptb_leaves(random_tree_text(rng))
+        terminals = [n for n in walk(tree) if n.is_terminal]
+        assert len(leaves) == len(terminals) == tree.token_end
+        assert all(a is b for a, b in zip(leaves, terminals))
+        assert [(n.token_begin, n.token_end) for n in leaves] == \
+            [(i, i + 1) for i in range(len(leaves))]
+
+
 def test_random_tree_text_respects_bounds():
     rng = random.Random(99)
     for _ in range(50):
         tree = parse_ptb(random_tree_text(rng))
-        for node in tree.walk():
+        for node in walk(tree):
             assert len(node.children) <= 4
             assert len(path_to_root(node)) <= 10  # 8 internal levels + POS + word
 
@@ -269,7 +284,8 @@ def test_deeply_nested_bracketing_parses():
     text = _deep_bracketing(DEEP)
     tree = parse_ptb(text)
     assert tree.to_bracketing() == text
-    assert len(path_to_root(tree.terminals()[0])) == DEEP + 2
+    leaf = next(n for n in walk(tree) if n.is_terminal)
+    assert len(path_to_root(leaf)) == DEEP + 2
     assert (tree.token_begin, tree.token_end) == (0, 1)
     chain = exact_cover_chain(tree, (0, 1))
     assert len(chain) == DEEP + 1
