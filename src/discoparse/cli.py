@@ -98,7 +98,7 @@ def cmd_train(args):
         documents = _load_documents(args.parses, args.raw)
         model = train_model(documents, gold, args.min_leaf)
         save_model(model, out)
-    print(f"lexicon: {len(model.lexicon)} connectives", file=sys.stderr)
+    print(f"lexicon: {len(model.lexicon.entries)} connectives", file=sys.stderr)
     for name, tree in (("usage", model.usage_tree),
                        ("argument", model.argument_tree)):
         print(f"{name} classifier: {tree_support(tree)} instances, "

@@ -13,13 +13,13 @@ from functools import cached_property
 from .errors import DataError, DiscoParseError, MissingDocumentError
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectiveStats:
     total_count: int = 0
     sense_counts: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectiveLexicon:
     """Connective key -> ConnectiveStats. Lexicons are not mutated once
     built, so max_token_length is computed once."""
@@ -30,9 +30,6 @@ class ConnectiveLexicon:
     def max_token_length(self):
         """Token count of the longest entry; 0 for an empty lexicon."""
         return max((len(key.split(" ")) for key in self.entries), default=0)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def connective_key(surfaces):
@@ -48,7 +45,7 @@ def mine_lexicon(gold, documents):
     relation without connective tokens or senses, or with a connective
     token outside its document, is a data error.
     """
-    entries = {}
+    totals, senses = {}, {}
     for rel in gold:
         if rel.relation_type != "Explicit":
             continue
@@ -66,11 +63,12 @@ def mine_lexicon(gold, documents):
                 f"relation {rel.relation_id}: connective token index out of "
                 f"range for document '{rel.doc_id}'")
         key = connective_key(flat[i].surface for i in sorted(rel.connective_tokens))
-        stats = entries.setdefault(key, ConnectiveStats())
-        stats.total_count += 1
+        totals[key] = totals.get(key, 0) + 1
+        counts = senses.setdefault(key, {})
         for sense in rel.senses:
-            stats.sense_counts[sense] = stats.sense_counts.get(sense, 0) + 1
-    return ConnectiveLexicon(entries)
+            counts[sense] = counts.get(sense, 0) + 1
+    return ConnectiveLexicon({key: ConnectiveStats(total, senses[key])
+                              for key, total in totals.items()})
 
 
 def annotate_sense(relation, lexicon, key):
@@ -88,24 +86,3 @@ def annotate_sense(relation, lexicon, key):
     sense = min(sense for sense, count in stats.sense_counts.items() if count == top)
     return replace(relation, senses=(sense,))
 
-
-def lexicon_to_json(lexicon):
-    return {"entries": {key: {"total_count": stats.total_count,
-                              "sense_counts": stats.sense_counts}
-                        for key, stats in lexicon.entries.items()}}
-
-
-def lexicon_from_json(data):
-    """Read a lexicon back. An entry without senses, or with a sense count
-    that is not a non-negative int (bool excluded), could not annotate the
-    relations its matches produce, so it raises ValueError."""
-    entries = {}
-    for key, value in data["entries"].items():
-        sense_counts = dict(value["sense_counts"])
-        if not sense_counts:
-            raise ValueError(f"lexicon entry '{key}' has no senses")
-        if any(type(n) is not int or n < 0 for n in sense_counts.values()):
-            raise ValueError(f"lexicon entry '{key}' has a sense count that is "
-                             f"not a non-negative integer: {sense_counts!r}")
-        entries[key] = ConnectiveStats(value["total_count"], sense_counts)
-    return ConnectiveLexicon(entries)

@@ -13,7 +13,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import ModelFormatError, PredictionError, TrainingError
+from .errors import PredictionError, TrainingError
 
 # Gain ratios are computed in floats; treat anything below this as zero.
 _POSITIVE_GAIN = 1e-12
@@ -25,13 +25,13 @@ class Instance:
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Leaf:
     label: str
     distribution: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
     feature: str
     children: dict
@@ -142,26 +142,3 @@ def tree_support(tree):
         return sum(tree.distribution.values())
     return sum(tree_support(child) for child in tree.children.values())
 
-
-def tree_to_json(tree):
-    if isinstance(tree, Leaf):
-        return {"kind": "leaf", "label": tree.label,
-                "distribution": tree.distribution}
-    return {"kind": "branch", "feature": tree.feature,
-            "majority_child": tree.majority_child,
-            "children": {value: tree_to_json(child)
-                         for value, child in tree.children.items()}}
-
-
-def tree_from_json(data):
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "leaf":
-        return Leaf(data["label"], dict(data["distribution"]))
-    if kind == "branch":
-        children = {value: tree_from_json(child)
-                    for value, child in data["children"].items()}
-        majority = data["majority_child"]
-        if majority not in children:
-            raise ValueError(f"majority_child {majority!r} is not a child of its branch")
-        return Branch(data["feature"], children, majority)
-    raise ModelFormatError(f"unreadable tree node: {data!r}")

@@ -7,6 +7,7 @@ projected onto the pruned constituents of gold-matched candidates) and
 induces both trees. Parsing makes the same pass: it runs candidates through
 the usage filter, labels and merges arguments, and annotates the most
 frequent sense; later stages only ever see survivors of earlier ones.
+This module alone reads and writes the model file.
 """
 
 from __future__ import annotations
@@ -15,17 +16,16 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .argument_labeler import (classify_constituents, extract_node_features,
-                               gold_constituent_label, merge_arguments,
-                               prune_candidates)
+from .argument_labeler import (ConstituentLabel, classify_constituents,
+                               extract_node_features, gold_constituent_label,
+                               merge_arguments, prune_candidates)
 from .connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
                                    classify_usage, extract_connective_features,
                                    find_candidates)
-from .connective_lexicon import (ConnectiveLexicon, annotate_sense,
-                                 lexicon_from_json, lexicon_to_json,
-                                 mine_lexicon)
+from .connective_lexicon import (ConnectiveLexicon, ConnectiveStats,
+                                 annotate_sense, mine_lexicon)
 from .corpus_io import DiscourseRelation, atomic_output
-from .decision_tree import Instance, train, tree_from_json, tree_to_json
+from .decision_tree import Branch, Instance, Leaf, train
 from .errors import ModelFormatError, TrainingError
 from .parse_tree import exact_cover_chain
 
@@ -161,20 +161,59 @@ def parse_document(document, model):
     return relations
 
 
-def model_to_json(model):
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "lexicon": lexicon_to_json(model.lexicon),
-        "usage_tree": tree_to_json(model.usage_tree),
-        "argument_tree": tree_to_json(model.argument_tree),
-    }
+def _tree_to_json(tree):
+    if isinstance(tree, Leaf):
+        return {"kind": "leaf", "label": tree.label,
+                "distribution": tree.distribution}
+    return {"kind": "branch", "feature": tree.feature,
+            "majority_child": tree.majority_child,
+            "children": {value: _tree_to_json(child)
+                         for value, child in tree.children.items()}}
+
+
+def _tree_from_json(data, labels):
+    """Read a tree back. A leaf label outside labels, the values its classifier
+    may give, or a majority_child that is not a child raises ValueError."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind == "leaf":
+        if data["label"] not in labels:
+            raise ValueError(f"leaf label {data['label']!r} is not one of {labels}")
+        return Leaf(data["label"], dict(data["distribution"]))
+    if kind == "branch":
+        children = {value: _tree_from_json(child, labels)
+                    for value, child in data["children"].items()}
+        majority = data["majority_child"]
+        if majority not in children:
+            raise ValueError(f"majority_child {majority!r} is not a child of its branch")
+        return Branch(data["feature"], children, majority)
+    raise ValueError(f"unreadable tree node: {data!r}")
+
+
+def _lexicon_from_json(data):
+    """Read a lexicon back. An entry without senses, or with a sense count
+    that is not a non-negative int (bool excluded), could not annotate the
+    relations its matches produce, so it raises ValueError."""
+    entries = {}
+    for key, value in data["entries"].items():
+        sense_counts = dict(value["sense_counts"])
+        if not sense_counts:
+            raise ValueError(f"lexicon entry '{key}' has no senses")
+        if any(type(n) is not int or n < 0 for n in sense_counts.values()):
+            raise ValueError(f"lexicon entry '{key}' has a sense count that is "
+                             f"not a non-negative integer: {sense_counts!r}")
+        entries[key] = ConnectiveStats(value["total_count"], sense_counts)
+    return ConnectiveLexicon(entries)
 
 
 def save_model(model, path):
     """Write the model as JSON to the file at path, replacing an existing
     file atomically, or to path itself when it is an open binary handle."""
-    text = json.dumps(model_to_json(model), sort_keys=True, indent=2)
-    data = (text + "\n").encode("utf-8")
+    lexicon = {key: {"total_count": stats.total_count, "sense_counts": stats.sense_counts}
+               for key, stats in model.lexicon.entries.items()}
+    model_json = {"format_version": MODEL_FORMAT_VERSION, "lexicon": {"entries": lexicon},
+                  "usage_tree": _tree_to_json(model.usage_tree),
+                  "argument_tree": _tree_to_json(model.argument_tree)}
+    data = (json.dumps(model_json, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if hasattr(path, "write"):
         path.write(data)
         return
@@ -195,9 +234,10 @@ def load_model(path):
             f"this build reads version {MODEL_FORMAT_VERSION}")
     try:
         return ParserModel(
-            lexicon=lexicon_from_json(data["lexicon"]),
-            usage_tree=tree_from_json(data["usage_tree"]),
-            argument_tree=tree_from_json(data["argument_tree"]),
+            _lexicon_from_json(data["lexicon"]),
+            _tree_from_json(data["usage_tree"], (USAGE_POSITIVE, USAGE_NEGATIVE)),
+            _tree_from_json(data["argument_tree"],
+                            tuple(label.value for label in ConstituentLabel)),
         )
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ModelFormatError(

@@ -99,6 +99,14 @@ def nested_branches_json(depth):
     return branch * depth + leaf + "}}" * depth
 
 
+def tree_json_leaves(tree):
+    """The leaf objects of a decision tree in model-file JSON, left to right."""
+    if tree["kind"] == "leaf":
+        return [tree]
+    return [leaf for child in tree["children"].values()
+            for leaf in tree_json_leaves(child)]
+
+
 def walk_exact_cover_chain(tree, token_range):
     """The whole-tree cover search the package used before it descended:
     every non-terminal node whose span equals token_range, bottom to top;

@@ -211,7 +211,7 @@ def test_corpus_mode():
     train_docs, train_gold = load_split("train")
     dev_docs, dev_gold = load_split("dev")
     lexicon = mine_lexicon(train_gold, train_docs)
-    assert 80 <= len(lexicon) <= 130
+    assert 80 <= len(lexicon.entries) <= 130
     model = train_model(train_docs, train_gold)
     predicted = []
     for doc in dev_docs.values():

@@ -18,7 +18,8 @@ import discoparse.cli
 from discoparse.cli import main
 
 import fixture_corpus
-from support import DEEP_ARRAY, build_document_json, nested_branches_json
+from support import (DEEP_ARRAY, build_document_json, nested_branches_json,
+                     tree_json_leaves)
 
 
 @pytest.fixture(scope="module")
@@ -255,11 +256,12 @@ def test_min_leaf_must_be_positive(corpus_on_disk, tmp_path):
     assert excinfo.value.code == 2
 
 
-def _run_cli(args):
-    """discoparse in a fresh interpreter, as a user would run it."""
+def _run_cli(args, **environ):
+    """discoparse in a fresh interpreter, as a user would run it, with
+    environ added to its environment."""
     package_root = os.path.dirname(os.path.dirname(discoparse.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])), **environ)
     return subprocess.run([sys.executable, "-m", "discoparse.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -360,6 +362,26 @@ def test_outputs_match_golden_digests(corpus_on_disk, trained_model_path,
                      "--parses", str(corpus_on_disk / "parses.json"),
                      "--raw", str(corpus_on_disk / "raw"),
                      "--out", str(outputs[name]), *extra]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in outputs.items()}
+    assert digests == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_outputs_do_not_depend_on_the_hash_seed(corpus_on_disk, tmp_path, seed):
+    inputs = ["--parses", str(corpus_on_disk / "parses.json"),
+              "--raw", str(corpus_on_disk / "raw")]
+    outputs = {"model": tmp_path / "model.json"}
+    result = _run_cli(["train", "--relations", str(corpus_on_disk / "relations.jsonl"),
+                       *inputs, "--out", str(outputs["model"]), "--min-leaf", "1"],
+                      PYTHONHASHSEED=seed)
+    assert result.returncode == 0, result.stderr
+    for name, extra in (("relations", []),
+                        ("relations-conll-tokenlist", ["--conll-tokenlist"])):
+        outputs[name] = tmp_path / f"{name}.jsonl"
+        result = _run_cli(["parse", "--model", str(outputs["model"]), *inputs,
+                           "--out", str(outputs[name]), *extra], PYTHONHASHSEED=seed)
+        assert result.returncode == 0, result.stderr
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in outputs.items()}
     assert digests == GOLDEN_SHA256
@@ -501,15 +523,24 @@ def test_train_refuses_a_missing_directory_before_loading(corpus_on_disk,
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("defect", ["majority-child", "sense-count"])
+@pytest.mark.parametrize("defect", ["majority-child", "sense-count", "usage-leaf",
+                                    "argument-leaf", "unknown-kind"])
 def test_parse_rejects_an_unusable_model_at_load(corpus_on_disk,
                                                  trained_model_path, tmp_path,
                                                  defect):
     data = json.loads(trained_model_path.read_text())
+    branch = next(tree for tree in (data["usage_tree"], data["argument_tree"])
+                  if tree["kind"] == "branch")
     if defect == "majority-child":
-        branch = next(tree for tree in (data["usage_tree"], data["argument_tree"])
-                      if tree["kind"] == "branch")
         branch["majority_child"] = "no such value"
+    elif defect == "usage-leaf":
+        for leaf in tree_json_leaves(data["usage_tree"]):
+            if leaf["label"] == "discourse":
+                leaf["label"] = "Discourse"
+    elif defect == "argument-leaf":
+        tree_json_leaves(data["argument_tree"])[-1]["label"] = "Arg2part"
+    elif defect == "unknown-kind":
+        branch["children"][branch["majority_child"]] = {"kind": "bush"}
     else:
         for stats in data["lexicon"]["entries"].values():
             stats["sense_counts"] = {sense: "x" for sense in stats["sense_counts"]}
@@ -521,7 +552,7 @@ def test_parse_rejects_an_unusable_model_at_load(corpus_on_disk,
                        "--raw", str(corpus_on_disk / "raw"), "--out", str(out)])
     assert result.returncode == 2
     errors = result.stderr.splitlines()
-    assert len(errors) == 1 and errors[0].startswith("error: model file ")
+    assert len(errors) == 1 and errors[0].startswith(f"error: model file '{model}' ")
     assert not out.exists()
 
 

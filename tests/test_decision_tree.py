@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from discoparse import Branch, Instance, Leaf, predict, train
-from discoparse.decision_tree import (gain_ratio, tree_from_json, tree_size,
-                                     tree_support, tree_to_json)
+from discoparse import (Branch, Instance, Leaf, load_model, predict,
+                        save_model, train, train_model)
+from discoparse.decision_tree import gain_ratio, tree_size, tree_support
 from discoparse.errors import PredictionError, TrainingError
 
+import fixture_corpus
 from support import oracle_gain_ratio
 
 # The classic fourteen-day weather log: four categorical features, two labels.
@@ -52,6 +53,7 @@ def test_perfect_single_feature_split():
     assert isinstance(tree.children["a"], Leaf)
     assert tree.children["a"].label == "+"
     assert tree.children["b"].label == "-"
+    assert tree_size(tree) == 3
 
 
 def test_gain_ratios_match_entropy_oracle():
@@ -174,10 +176,13 @@ def test_branch_children_respect_min_leaf():
         check(train(weather_instances(), min_leaf=min_leaf), min_leaf)
 
 
-def test_json_round_trip():
-    tree = train(weather_instances(), min_leaf=1)
-    assert tree_from_json(tree_to_json(tree)) == tree
-    assert tree_size(tree) == tree_size(tree_from_json(tree_to_json(tree)))
+def test_saved_model_loads_back_equal(tmp_path):
+    model = train_model(fixture_corpus.corpus_documents(),
+                        fixture_corpus.corpus_gold(), min_leaf=1)
+    assert isinstance(model.usage_tree, Branch)
+    assert isinstance(model.argument_tree, Branch)
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json") == model
 
 
 def test_tree_support_counts_training_instances():

@@ -44,7 +44,7 @@ def test_mine_multiword_key_and_token_length(corpus_documents, corpus_gold):
     lexicon = mine_lexicon(corpus_gold, corpus_documents)
     assert "as soon as" in lexicon.entries
     assert lexicon.max_token_length == 3
-    assert len(lexicon) == 12
+    assert len(lexicon.entries) == 12
 
 
 def test_mine_lowercases_surfaces(corpus_documents, corpus_gold):

@@ -15,13 +15,14 @@ from discoparse import (DiscourseRelation, annotate_sense, exact_cover_chain,
 from discoparse.argument_labeler import ConstituentLabel
 from discoparse.connective_annotator import USAGE_POSITIVE
 from discoparse.connective_lexicon import ConnectiveLexicon, ConnectiveStats
+from discoparse.decision_tree import Branch, Leaf
 from discoparse.errors import (DiscoParseError, ModelFormatError,
                                TrainingError)
 from discoparse.pipeline import build_datasets, load_model, save_model
 
 import fixture_corpus
 from support import (DEEP_ARRAY, build_argument_dataset, build_document_json,
-                     build_usage_dataset, nested_branches_json)
+                     build_usage_dataset, nested_branches_json, tree_json_leaves)
 
 
 @pytest.fixture(scope="module")
@@ -267,10 +268,25 @@ def test_saved_model_has_the_mode_of_a_plain_open(tmp_path, trained):
             == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode))
 
 
-def test_parser_model_is_frozen(trained):
+def _tree_nodes(tree):
+    yield tree
+    for child in getattr(tree, "children", {}).values():
+        yield from _tree_nodes(child)
+
+
+@pytest.mark.parametrize("part, field", [
+    ("model", "usage_tree"), ("lexicon", "entries"), ("stats", "sense_counts"),
+    ("leaf", "label"), ("branch", "feature"),
+])
+def test_parser_model_is_frozen(trained, part, field):
     _, _, model = trained
+    nodes = [*_tree_nodes(model.usage_tree), *_tree_nodes(model.argument_tree)]
+    target = {"model": model, "lexicon": model.lexicon,
+              "stats": model.lexicon.entries["when"],
+              "leaf": next(node for node in nodes if isinstance(node, Leaf)),
+              "branch": next(node for node in nodes if isinstance(node, Branch))}[part]
     with pytest.raises(FrozenInstanceError):
-        model.usage_tree = None
+        setattr(target, field, None)
 
 
 def test_model_version_mismatch(tmp_path, trained):
@@ -430,6 +446,8 @@ def test_deeply_nested_tree_parses(trained):
     ("count-negative", "-1"),
     ("count-bool", "True"),
     ("count-float", "2.0"),
+    ("usage-leaf", "leaf label 'Discourse' is not one of"),
+    ("argument-leaf", "leaf label 'Arg2part' is not one of"),
 ])
 def test_model_with_an_unusable_value_is_a_format_error(tmp_path, trained,
                                                         defect, expected):
@@ -439,6 +457,13 @@ def test_model_with_an_unusable_value_is_a_format_error(tmp_path, trained,
     data = json.loads(path.read_text())
     if defect == "majority-child":
         _first_branch(data)["majority_child"] = "no such value"
+    elif defect.endswith("-leaf"):
+        tree, old, new = {"usage-leaf": ("usage_tree", USAGE_POSITIVE, "Discourse"),
+                          "argument-leaf": ("argument_tree", "Arg2Part", "Arg2part")}[defect]
+        leaves = [leaf for leaf in tree_json_leaves(data[tree]) if leaf["label"] == old]
+        assert leaves
+        for leaf in leaves:
+            leaf["label"] = new
     else:
         value = {"count-string": "x", "count-null": None, "count-negative": -1,
                  "count-bool": True, "count-float": 2.0}[defect]
@@ -446,4 +471,5 @@ def test_model_with_an_unusable_value_is_a_format_error(tmp_path, trained,
     path.write_text(json.dumps(data))
     with pytest.raises(ModelFormatError) as excinfo:
         load_model(path)
+    assert str(excinfo.value).startswith(f"model file '{path}' ")
     assert expected in str(excinfo.value)
