@@ -12,12 +12,13 @@ from __future__ import annotations
 import enum
 from operator import attrgetter
 
+from .connective_annotator import CONNECTIVE_FEATURES
 from .decision_tree import predict
-from .errors import PredictionError
 from .parse_tree import node_context, path_to_root, render_path
 
 POSITION_LEFT = "left"
 POSITION_RIGHT = "right"
+NODE_FEATURES = (*CONNECTIVE_FEATURES, "path_to_self_cat", "node_context", "node_position")
 
 
 class ConstituentLabel(enum.Enum):
@@ -46,7 +47,7 @@ def prune_candidates(connective_selfcat):
 
 
 def extract_node_features(node, connective, features, top):
-    """Nine features for one candidate constituent: the six connective
+    """The nine NODE_FEATURES of one candidate constituent: the six connective
     features plus the node's path to the connective category, its context,
     and its position (left or right of the connective's first token).
 
@@ -65,15 +66,8 @@ def extract_node_features(node, connective, features, top):
 
 def classify_constituents(candidates, model):
     """Label every (node, features) pair with a ConstituentLabel."""
-    labels = {}
-    for node, features in candidates:
-        predicted = predict(model, features)
-        try:
-            labels[node] = ConstituentLabel(predicted)
-        except ValueError as exc:
-            raise PredictionError(
-                f"argument model produced unknown label '{predicted}'") from exc
-    return labels
+    return {node: ConstituentLabel(predict(model, features))
+            for node, features in candidates}
 
 
 def gold_constituent_label(node, sentence, arg1_tokens, arg2_tokens):

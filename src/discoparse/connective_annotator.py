@@ -21,6 +21,9 @@ CASE_UPPER = "all uppercase"
 CASE_INITIAL_UPPER = "initial uppercase"
 CASE_MIXED = "mixed"
 
+CONNECTIVE_FEATURES = ("conn_lowercase", "case_category", "self_cat", "self_cat_parent",
+                       "self_cat_left_sibling", "self_cat_right_sibling")
+
 
 @dataclass(frozen=True)
 class ConnectiveCandidate:
@@ -69,7 +72,7 @@ def case_category(surface):
 
 
 def extract_connective_features(candidate, sentence, chain):
-    """The six named connective features of one candidate, as a dict.
+    """The six CONNECTIVE_FEATURES of one candidate, as a dict.
 
     chain is the exact-cover chain of the candidate's tokens, bottom to top
     (parse_tree.exact_cover_chain). The exact-cover nodes over a connective

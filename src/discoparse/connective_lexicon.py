@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import DataError, DiscoParseError, MissingDocumentError
+from .errors import DataError, MissingDocumentError
 
 
 @dataclass(frozen=True)
 class ConnectiveStats:
-    total_count: int = 0
-    sense_counts: dict = field(default_factory=dict)
+    total_count: int
+    sense_counts: dict
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,10 @@ def annotate_sense(relation, lexicon, key):
     connective whose lexicon key is key. Ties break to the
     lexicographically smallest sense label so repeated runs agree.
 
-    Only the senses field changes. A key with no sense in the lexicon is a
-    pipeline invariant violation, not a recoverable condition.
+    Only the senses field changes. A key not in the lexicon raises KeyError.
     """
-    stats = lexicon.entries.get(key)
-    if stats is None or not stats.sense_counts:
-        raise DiscoParseError(f"connective '{key}' has no sense in the lexicon")
-    top = max(stats.sense_counts.values())
-    sense = min(sense for sense, count in stats.sense_counts.items() if count == top)
+    counts = lexicon.entries[key].sense_counts
+    top = max(counts.values())
+    sense = min(sense for sense, count in counts.items() if count == top)
     return replace(relation, senses=(sense,))
 

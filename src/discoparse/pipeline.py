@@ -16,12 +16,12 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .argument_labeler import (ConstituentLabel, classify_constituents,
+from .argument_labeler import (NODE_FEATURES, ConstituentLabel, classify_constituents,
                                extract_node_features, gold_constituent_label,
                                merge_arguments, prune_candidates)
-from .connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
-                                   classify_usage, extract_connective_features,
-                                   find_candidates)
+from .connective_annotator import (CONNECTIVE_FEATURES, USAGE_NEGATIVE,
+                                   USAGE_POSITIVE, classify_usage,
+                                   extract_connective_features, find_candidates)
 from .connective_lexicon import (ConnectiveLexicon, ConnectiveStats,
                                  annotate_sense, mine_lexicon)
 from .corpus_io import DiscourseRelation, atomic_output
@@ -36,9 +36,39 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class ParserModel:
+    """A trained parser, checked whole when built: a broken rule raises ValueError."""
+
     lexicon: ConnectiveLexicon
     usage_tree: object
     argument_tree: object
+
+    def __post_init__(self):
+        for key, stats in self.lexicon.entries.items():
+            if not stats.sense_counts:
+                raise ValueError(f"lexicon entry '{key}' has no senses")
+            if any(type(n) is not int or n < 0
+                   for n in (stats.total_count, *stats.sense_counts.values())):
+                raise ValueError(f"lexicon entry '{key}' has a count that is not a "
+                                 f"non-negative integer: {stats!r}")
+        _check_tree(self.usage_tree, CONNECTIVE_FEATURES, (USAGE_POSITIVE, USAGE_NEGATIVE))
+        _check_tree(self.argument_tree, NODE_FEATURES,
+                    tuple(label.value for label in ConstituentLabel))
+
+
+def _check_tree(node, features, labels):
+    """Raise ValueError at the first node under node that breaks a model rule."""
+    if isinstance(node, Leaf):
+        if node.label not in labels:
+            raise ValueError(f"leaf label {node.label!r} is not one of {labels}")
+    elif not isinstance(node, Branch):
+        raise ValueError(f"tree node {node!r} is neither a Leaf nor a Branch")
+    elif node.feature not in features:
+        raise ValueError(f"branch feature {node.feature!r} is not one of {features}")
+    elif node.majority_child not in node.children:
+        raise ValueError(f"majority_child {node.majority_child!r} is not a child of its branch")
+    else:
+        for child in node.children.values():
+            _check_tree(child, features, labels)
 
 
 def _connective_syntax(candidate, sentence):
@@ -171,38 +201,15 @@ def _tree_to_json(tree):
                          for value, child in tree.children.items()}}
 
 
-def _tree_from_json(data, labels):
-    """Read a tree back. A leaf label outside labels, the values its classifier
-    may give, or a majority_child that is not a child raises ValueError."""
+def _tree_from_json(data):
+    """Read a tree back; ParserModel checks what it holds."""
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "leaf":
-        if data["label"] not in labels:
-            raise ValueError(f"leaf label {data['label']!r} is not one of {labels}")
         return Leaf(data["label"], dict(data["distribution"]))
     if kind == "branch":
-        children = {value: _tree_from_json(child, labels)
-                    for value, child in data["children"].items()}
-        majority = data["majority_child"]
-        if majority not in children:
-            raise ValueError(f"majority_child {majority!r} is not a child of its branch")
-        return Branch(data["feature"], children, majority)
+        children = {value: _tree_from_json(child) for value, child in data["children"].items()}
+        return Branch(data["feature"], children, data["majority_child"])
     raise ValueError(f"unreadable tree node: {data!r}")
-
-
-def _lexicon_from_json(data):
-    """Read a lexicon back. An entry without senses, or with a sense count
-    that is not a non-negative int (bool excluded), could not annotate the
-    relations its matches produce, so it raises ValueError."""
-    entries = {}
-    for key, value in data["entries"].items():
-        sense_counts = dict(value["sense_counts"])
-        if not sense_counts:
-            raise ValueError(f"lexicon entry '{key}' has no senses")
-        if any(type(n) is not int or n < 0 for n in sense_counts.values()):
-            raise ValueError(f"lexicon entry '{key}' has a sense count that is "
-                             f"not a non-negative integer: {sense_counts!r}")
-        entries[key] = ConnectiveStats(value["total_count"], sense_counts)
-    return ConnectiveLexicon(entries)
 
 
 def save_model(model, path):
@@ -225,20 +232,19 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long to read
             raise ModelFormatError(f"model file '{path}' is not JSON: {exc}") from exc
     version = data.get("format_version") if isinstance(data, dict) else None
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"model file '{path}' has format_version {version!r}, "
             f"this build reads version {MODEL_FORMAT_VERSION}")
     try:
-        return ParserModel(
-            _lexicon_from_json(data["lexicon"]),
-            _tree_from_json(data["usage_tree"], (USAGE_POSITIVE, USAGE_NEGATIVE)),
-            _tree_from_json(data["argument_tree"],
-                            tuple(label.value for label in ConstituentLabel)),
-        )
+        entries = {key: ConnectiveStats(value["total_count"], value["sense_counts"])
+                   for key, value in data["lexicon"]["entries"].items()}
+        return ParserModel(ConnectiveLexicon(entries),
+                           _tree_from_json(data["usage_tree"]),
+                           _tree_from_json(data["argument_tree"]))
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ModelFormatError(
             f"model file '{path}' is incomplete or malformed: {exc}") from exc

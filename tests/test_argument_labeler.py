@@ -1,15 +1,14 @@
 import random
 
-import pytest
-
 from discoparse import (ConnectiveCandidate, ConstituentLabel, Leaf,
                         exact_cover_chain, extract_connective_features,
-                        extract_node_features, merge_arguments,
-                        parse_ptb, prune_candidates)
-from discoparse.argument_labeler import (POSITION_LEFT, POSITION_RIGHT,
-                                         classify_constituents,
+                        extract_node_features, find_candidates,
+                        merge_arguments, mine_lexicon, parse_ptb,
+                        prune_candidates)
+from discoparse.argument_labeler import (NODE_FEATURES, POSITION_LEFT,
+                                         POSITION_RIGHT, classify_constituents,
                                          gold_constituent_label)
-from discoparse.errors import PredictionError
+from discoparse.connective_annotator import CONNECTIVE_FEATURES
 
 import fixture_corpus
 from conftest import nodes_by_label
@@ -132,13 +131,23 @@ def test_classify_constituents_single_leaf(reference_document):
     assert classify_constituents([], Leaf("None", {"None": 1})) == {}
 
 
-def test_classify_constituents_rejects_unknown_labels(reference_document):
-    parts = _reference_parts(reference_document)
-    sentence = reference_document.sentences[0]
-    candidate = WHEN_CANDIDATE
-    pairs = [(parts["s2"], _node_features(parts["s2"], candidate, sentence))]
-    with pytest.raises(PredictionError):
-        classify_constituents(pairs, Leaf("Arg3Part", {"Arg3Part": 1}))
+def test_feature_names_are_the_keys_the_extractors_give(corpus_documents,
+                                                        corpus_gold):
+    # ParserModel checks branch features against these two tuples.
+    lexicon = mine_lexicon(corpus_gold, corpus_documents)
+    node_vectors = 0
+    for document in corpus_documents.values():
+        for candidate in find_candidates(document, lexicon):
+            sentence = document.sentences[candidate.sent_index]
+            chain = exact_cover_chain(sentence.tree, (candidate.token_begin,
+                                                      candidate.token_end))
+            features = extract_connective_features(candidate, sentence, chain)
+            assert sorted(features) == sorted(CONNECTIVE_FEATURES)
+            for node in prune_candidates(chain[0]):
+                vector = extract_node_features(node, candidate, features, chain[-1])
+                assert sorted(vector) == sorted(NODE_FEATURES)
+                node_vectors += 1
+    assert node_vectors
 
 
 def test_gold_projection_requires_full_containment(reference_document):

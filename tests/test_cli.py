@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import json
@@ -236,15 +237,16 @@ def test_model_version_mismatch_exits_nonzero(corpus_on_disk,
                                               trained_model_path, tmp_path,
                                               capsys):
     data = json.loads(trained_model_path.read_text())
-    data["format_version"] = 99
     stale = tmp_path / "stale.json"
-    stale.write_text(json.dumps(data))
-    code = main(["parse", "--model", str(stale),
-                 "--parses", str(corpus_on_disk / "parses.json"),
-                 "--raw", str(corpus_on_disk / "raw"),
-                 "--out", str(tmp_path / "out.jsonl")])
-    assert code != 0
-    assert "format_version" in capsys.readouterr().err
+    for version in (99, True, 1.0):
+        data["format_version"] = version
+        stale.write_text(json.dumps(data))
+        code = main(["parse", "--model", str(stale),
+                     "--parses", str(corpus_on_disk / "parses.json"),
+                     "--raw", str(corpus_on_disk / "raw"),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 2
+        assert f"format_version {version!r}" in capsys.readouterr().err
 
 
 def test_min_leaf_must_be_positive(corpus_on_disk, tmp_path):
@@ -524,7 +526,11 @@ def test_train_refuses_a_missing_directory_before_loading(corpus_on_disk,
 
 
 @pytest.mark.parametrize("defect", ["majority-child", "sense-count", "usage-leaf",
-                                    "argument-leaf", "unknown-kind"])
+                                    "argument-leaf", "unknown-kind",
+                                    "usage-feature", "argument-feature",
+                                    "list-feature", "total-count-string",
+                                    "total-count-negative", "total-count-bool",
+                                    "format-version-true"])
 def test_parse_rejects_an_unusable_model_at_load(corpus_on_disk,
                                                  trained_model_path, tmp_path,
                                                  defect):
@@ -541,6 +547,19 @@ def test_parse_rejects_an_unusable_model_at_load(corpus_on_disk,
         tree_json_leaves(data["argument_tree"])[-1]["label"] = "Arg2part"
     elif defect == "unknown-kind":
         branch["children"][branch["majority_child"]] = {"kind": "bush"}
+    elif defect.endswith("-feature"):
+        tree, value = {"usage-feature": ("usage_tree", "self_category"),
+                       "argument-feature": ("argument_tree", "no_such_feature"),
+                       "list-feature": ("usage_tree", ["self_cat"])}[defect]
+        assert data[tree]["kind"] == "branch"
+        data[tree]["feature"] = value
+    elif defect.startswith("total-count-"):
+        value = {"total-count-string": "x", "total-count-negative": -1,
+                 "total-count-bool": True}[defect]
+        for stats in data["lexicon"]["entries"].values():
+            stats["total_count"] = value
+    elif defect == "format-version-true":
+        data["format_version"] = True
     else:
         for stats in data["lexicon"]["entries"].values():
             stats["sense_counts"] = {sense: "x" for sense in stats["sense_counts"]}
@@ -612,3 +631,78 @@ def test_permuted_documents_give_permuted_lines(corpus_on_disk,
     assert _parse(trained_model_path, permuted, corpus_on_disk / "raw", out) == 0
     expected = "".join(line for doc_id in order for line in blocks.get(doc_id, []))
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+def _json_paths(value, path=()):
+    """The key path of every value inside a JSON document, root excluded."""
+    if isinstance(value, dict):
+        members = value.items()
+    elif isinstance(value, list):
+        members = enumerate(value)
+    else:
+        return
+    for key, member in members:
+        yield path + (key,)
+        yield from _json_paths(member, path + (key,))
+
+
+def _json_at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+@st.composite
+def _mutated_model(draw, model):
+    """The model JSON with one value replaced by any JSON value, one key or
+    item deleted, or one key added. Keys and strings of the model itself are
+    drawn as often as arbitrary text, so that a value can become a name
+    that is valid elsewhere in the model."""
+    located = {path: _json_at(model, path) for path in _json_paths(model)}
+    names = {path[-1] for path in located if isinstance(path[-1], str)}
+    names.update(value for value in located.values() if isinstance(value, str))
+    keys = st.sampled_from(sorted(names)) | st.text(max_size=8)
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | keys,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=6)
+    mutated = copy.deepcopy(model)
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "add":
+        objects = [()] + [path for path, value in located.items()
+                          if isinstance(value, dict)]
+        container = _json_at(mutated, draw(st.sampled_from(objects)))
+        container[draw(keys)] = draw(values)
+        return mutated
+    *parents, key = draw(st.sampled_from(list(located)))
+    container = _json_at(mutated, parents)
+    if action == "replace":
+        container[key] = draw(values)
+    else:
+        del container[key]
+    return mutated
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_model_file_is_parsed_or_refused(corpus_on_disk,
+                                                   trained_model_path,
+                                                   tmp_path, capsys, data):
+    """No exception escapes main for any one-value change of the model file:
+    it parses (exit 0), or it is refused in one line naming the file, with
+    no output file (exit 2)."""
+    mutated = data.draw(_mutated_model(json.loads(trained_model_path.read_text())))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(mutated), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = _parse(model, corpus_on_disk / "parses.json", corpus_on_disk / "raw", out)
+    errors = capsys.readouterr().err.splitlines()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: model file '{model}' ")
+        assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 
 from discoparse import (ConnectiveLexicon, ConnectiveStats, DiscourseRelation,
                         annotate_sense, mine_lexicon)
-from discoparse.errors import DataError, DiscoParseError
+from discoparse.errors import DataError
 
 
 def _explicit(doc_id, rel_id, conn, sense, arg1=(0,), arg2=(1,)):
@@ -121,16 +121,11 @@ def test_most_frequent_sense_tie_breaks_lexicographically():
 
 
 def test_most_frequent_sense_unknown_connective():
-    with pytest.raises(DiscoParseError) as excinfo:
+    # The key must be a lexicon key; an entry without senses is refused
+    # when a ParserModel is built (test_pipeline).
+    with pytest.raises(KeyError) as excinfo:
         _most_frequent_sense(ConnectiveLexicon(), "nowhere")
-    assert str(excinfo.value) == "connective 'nowhere' has no sense in the lexicon"
-
-
-def test_most_frequent_sense_of_an_entry_without_senses():
-    lexicon = ConnectiveLexicon({"nowhere": ConnectiveStats(0, {})})
-    with pytest.raises(DiscoParseError) as excinfo:
-        _most_frequent_sense(lexicon, "nowhere")
-    assert str(excinfo.value) == "connective 'nowhere' has no sense in the lexicon"
+    assert excinfo.value.args == ("nowhere",)
 
 
 def test_most_frequent_sense_matches_bruteforce_scan():

@@ -13,12 +13,12 @@ from discoparse import (DiscourseRelation, annotate_sense, exact_cover_chain,
                         find_candidates, load_parses, mine_lexicon,
                         parse_document, score, train_model)
 from discoparse.argument_labeler import ConstituentLabel
-from discoparse.connective_annotator import USAGE_POSITIVE
+from discoparse.connective_annotator import USAGE_NEGATIVE, USAGE_POSITIVE
 from discoparse.connective_lexicon import ConnectiveLexicon, ConnectiveStats
 from discoparse.decision_tree import Branch, Leaf
-from discoparse.errors import (DiscoParseError, ModelFormatError,
-                               TrainingError)
-from discoparse.pipeline import build_datasets, load_model, save_model
+from discoparse.errors import ModelFormatError, TrainingError
+from discoparse.pipeline import (ParserModel, build_datasets, load_model,
+                                 save_model)
 
 import fixture_corpus
 from support import (DEEP_ARRAY, build_argument_dataset, build_document_json,
@@ -252,8 +252,10 @@ def test_failed_save_keeps_the_existing_model(tmp_path, trained):
     path = tmp_path / "model.json"
     save_model(model, path)
     before = path.read_bytes()
-    unserializable = replace(model, argument_tree=object())
-    with pytest.raises(AttributeError):
+    # Leaf distributions are not checked when a model is built, so this
+    # model is built and fails only when it is written.
+    unserializable = replace(model, argument_tree=Leaf("None", {"None": object()}))
+    with pytest.raises(TypeError):
         save_model(unserializable, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]
@@ -294,11 +296,13 @@ def test_model_version_mismatch(tmp_path, trained):
     path = tmp_path / "model.json"
     save_model(model, path)
     data = json.loads(path.read_text())
-    data["format_version"] = 2
-    path.write_text(json.dumps(data))
-    with pytest.raises(ModelFormatError) as excinfo:
-        load_model(path)
-    assert "format_version" in str(excinfo.value)
+    # true and 1.0 equal 1 in Python, but only the int 1 is version 1.
+    for version in (2, True, 1.0):
+        data["format_version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert f"format_version {version!r}" in str(excinfo.value)
 
 
 def _first_branch(data):
@@ -379,8 +383,9 @@ def test_annotate_sense_majority():
 
 
 def test_annotate_sense_unknown_connective_is_hard_error():
+    # annotate_sense is given lexicon keys only; any other key is a bug.
     rel = DiscourseRelation("ex01", 0, "Explicit", (5,), (0, 1), (6, 7), ())
-    with pytest.raises(DiscoParseError):
+    with pytest.raises(KeyError):
         annotate_sense(rel, ConnectiveLexicon(), "when")
 
 
@@ -448,6 +453,12 @@ def test_deeply_nested_tree_parses(trained):
     ("count-float", "2.0"),
     ("usage-leaf", "leaf label 'Discourse' is not one of"),
     ("argument-leaf", "leaf label 'Arg2part' is not one of"),
+    ("usage-feature", "branch feature 'self_category' is not one of"),
+    ("argument-feature", "branch feature 'no_such_feature' is not one of"),
+    ("list-feature", "branch feature ['self_cat'] is not one of"),
+    ("total-count-string", "total_count='x'"),
+    ("total-count-negative", "total_count=-1"),
+    ("total-count-bool", "total_count=True"),
 ])
 def test_model_with_an_unusable_value_is_a_format_error(tmp_path, trained,
                                                         defect, expected):
@@ -464,6 +475,16 @@ def test_model_with_an_unusable_value_is_a_format_error(tmp_path, trained,
         assert leaves
         for leaf in leaves:
             leaf["label"] = new
+    elif defect.endswith("-feature"):
+        tree, value = {"usage-feature": ("usage_tree", "self_category"),
+                       "argument-feature": ("argument_tree", "no_such_feature"),
+                       "list-feature": ("usage_tree", ["self_cat"])}[defect]
+        assert data[tree]["kind"] == "branch"
+        data[tree]["feature"] = value
+    elif defect.startswith("total-count-"):
+        value = {"total-count-string": "x", "total-count-negative": -1,
+                 "total-count-bool": True}[defect]
+        data["lexicon"]["entries"]["when"]["total_count"] = value
     else:
         value = {"count-string": "x", "count-null": None, "count-negative": -1,
                  "count-bool": True, "count-float": 2.0}[defect]
@@ -472,4 +493,81 @@ def test_model_with_an_unusable_value_is_a_format_error(tmp_path, trained,
     with pytest.raises(ModelFormatError) as excinfo:
         load_model(path)
     assert str(excinfo.value).startswith(f"model file '{path}' ")
+    assert expected in str(excinfo.value)
+
+
+def test_model_with_an_overlong_integer_is_a_format_error(tmp_path, trained):
+    # Python refuses to read an int of more than 4,300 digits.
+    _, _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    data["lexicon"]["entries"]["when"]["total_count"] = "HUGE"
+    path.write_text(json.dumps(data).replace('"HUGE"', "9" * 5000))
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"model file '{path}' is not JSON: ")
+
+
+def _leaf(label):
+    return Leaf(label, {label: 1})
+
+
+_VALID_MODEL = {
+    "lexicon": ConnectiveLexicon({"when": ConnectiveStats(2, {"Temporal.Synchrony": 2})}),
+    "usage_tree": Branch("self_cat", {"WHADVP": _leaf(USAGE_POSITIVE),
+                                      "ADVP": _leaf(USAGE_NEGATIVE)}, "WHADVP"),
+    "argument_tree": Branch("node_position", {"left": _leaf("Arg1Part"),
+                                              "right": _leaf("Arg2Part")}, "right"),
+}
+
+
+def _when_lexicon(total_count, sense_counts):
+    return ConnectiveLexicon({"when": ConnectiveStats(total_count, sense_counts)})
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    pytest.param("lexicon", ConnectiveLexicon({"nowhere": ConnectiveStats(0, {})}),
+                 "lexicon entry 'nowhere' has no senses", id="no-senses"),
+    pytest.param("lexicon", _when_lexicon(1, {"S": "x"}), "sense_counts={'S': 'x'}",
+                 id="sense-count-string"),
+    pytest.param("lexicon", _when_lexicon(1, {"S": -1}), "sense_counts={'S': -1}",
+                 id="sense-count-negative"),
+    pytest.param("lexicon", _when_lexicon(1, {"S": True}), "sense_counts={'S': True}",
+                 id="sense-count-bool"),
+    pytest.param("lexicon", _when_lexicon(1, {"S": 1.0}), "sense_counts={'S': 1.0}",
+                 id="sense-count-float"),
+    pytest.param("lexicon", _when_lexicon("x", {"S": 1}), "total_count='x'",
+                 id="total-count-string"),
+    pytest.param("lexicon", _when_lexicon(-1, {"S": 1}), "total_count=-1",
+                 id="total-count-negative"),
+    pytest.param("lexicon", _when_lexicon(True, {"S": 1}), "total_count=True",
+                 id="total-count-bool"),
+    pytest.param("usage_tree", {"kind": "leaf", "label": USAGE_POSITIVE},
+                 "is neither a Leaf nor a Branch", id="tree-node"),
+    pytest.param("usage_tree", _leaf("Discourse"),
+                 "leaf label 'Discourse' is not one of", id="usage-leaf"),
+    pytest.param("argument_tree", _leaf("Arg3Part"),
+                 "leaf label 'Arg3Part' is not one of", id="argument-leaf"),
+    pytest.param("argument_tree",
+                 Branch("node_position", {"left": _leaf("Arg1Part"),
+                                          "right": _leaf("Arg3Part")}, "left"),
+                 "leaf label 'Arg3Part' is not one of", id="argument-leaf-below-a-branch"),
+    pytest.param("usage_tree",
+                 Branch("self_cat", {"WHADVP": _leaf(USAGE_POSITIVE)}, "VP"),
+                 "majority_child 'VP' is not a child of its branch", id="majority-child"),
+    pytest.param("usage_tree",
+                 Branch("self_category", {"WHADVP": _leaf(USAGE_POSITIVE)}, "WHADVP"),
+                 "branch feature 'self_category' is not one of", id="usage-feature"),
+    pytest.param("usage_tree",
+                 Branch("node_position", {"left": _leaf(USAGE_POSITIVE)}, "left"),
+                 "branch feature 'node_position' is not one of", id="usage-feature-of-a-node"),
+    pytest.param("argument_tree",
+                 Branch("no_such_feature", {"left": _leaf("Arg1Part")}, "left"),
+                 "branch feature 'no_such_feature' is not one of", id="argument-feature"),
+])
+def test_parser_model_construction_checks_every_rule(field, value, expected):
+    ParserModel(**_VALID_MODEL)
+    with pytest.raises(ValueError) as excinfo:
+        ParserModel(**{**_VALID_MODEL, field: value})
     assert expected in str(excinfo.value)
