@@ -36,27 +36,25 @@ class ConnectiveCandidate:
 def find_candidates(document, lexicon):
     """Lexicon matches in the document, greedy longest-first per sentence.
 
+    A key is matched token by token, each word of key.split(" ") to one lowercased surface.
     Matching never crosses a sentence boundary and never reuses a token,
     so results are non-overlapping and sorted by (sentence, token start).
     """
     candidates = []
-    max_length = lexicon.max_token_length
+    lengths_by_first_word = lexicon.lengths_by_first_word
     for sentence in document.sentences:
         lowered = [token.surface.lower() for token in sentence.tokens]
         i = 0
         while i < len(lowered):
-            match = None
-            for length in range(min(max_length, len(lowered) - i), 0, -1):
-                key = " ".join(lowered[i:i + length])
-                if key in lexicon.entries:
-                    match = (key, i + length)
+            for length in lengths_by_first_word.get(lowered[i], ()):
+                end = i + length
+                # Past the sentence end the slice is short and can spell a shorter key.
+                if end <= len(lowered) and (key := " ".join(lowered[i:end])) in lexicon.entries:
+                    candidates.append(ConnectiveCandidate(sentence.sent_index, i, end, key))
+                    i = end
                     break
-            if match is None:
+            else:
                 i += 1
-                continue
-            key, end = match
-            candidates.append(ConnectiveCandidate(sentence.sent_index, i, end, key))
-            i = end
     return candidates
 
 

@@ -21,15 +21,17 @@ class ConnectiveStats:
 
 @dataclass(frozen=True)
 class ConnectiveLexicon:
-    """Connective key -> ConnectiveStats. Lexicons are not mutated once
-    built, so max_token_length is computed once."""
+    """Connective key -> ConnectiveStats, not mutated once built, so the index is cached."""
 
     entries: dict = field(default_factory=dict)
 
     @cached_property
-    def max_token_length(self):
-        """Token count of the longest entry; 0 for an empty lexicon."""
-        return max((len(key.split(" ")) for key in self.entries), default=0)
+    def lengths_by_first_word(self):
+        """First word of each key -> the distinct word counts of its keys, longest first."""
+        lengths = {}
+        for words in (key.split(" ") for key in self.entries):
+            lengths[words[0]] = sorted({len(words), *lengths.get(words[0], ())}, reverse=True)
+        return lengths
 
 
 def connective_key(surfaces):

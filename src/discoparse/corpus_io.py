@@ -149,7 +149,7 @@ def _decode_entries(text):
         index = skip(text, index + 1).end()
         if index != len(text):
             raise json.JSONDecodeError("Extra data", text, index)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long to read
         raise InputFormatError(f"malformed parses JSON: {exc}") from exc
 
 
@@ -246,7 +246,7 @@ def load_relations(relations_jsonl):
             continue
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long to read
             raise InputFormatError(f"line {line_number}: malformed JSON: {exc}") from exc
         relations.append(_relation_from_json(obj, line_number))
     return relations

@@ -44,6 +44,7 @@ class ParserModel:
 
     def __post_init__(self):
         for key, stats in self.lexicon.entries.items():
+            "".join((key, *stats.sense_counts)).encode("utf-8")  # raises on a lone surrogate
             if not stats.sense_counts:
                 raise ValueError(f"lexicon entry '{key}' has no senses")
             if any(type(n) is not int or n < 0

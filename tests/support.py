@@ -4,9 +4,10 @@ The leaf extractor, the tree walk, the entropy calculator, the whole-tree
 cover search, the root-down node contexts and the brute-force pruning
 filter re-derive their answers from first principles so the tests they
 feed do not lean on the code paths under test.
-The scanning scorer, the two training-set builders and the whole-file
-parses reader are earlier versions of package code, kept as references
-that the current versions must agree with.
+The scanning scorer, the brute-force connective matcher, the two
+training-set builders and the whole-file parses reader are earlier versions
+of package code, kept as references that the current versions must agree
+with.
 """
 
 import json
@@ -17,7 +18,7 @@ from collections import Counter
 
 from discoparse.argument_labeler import gold_constituent_label
 from discoparse.connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
-                                             find_candidates)
+                                             ConnectiveCandidate, find_candidates)
 from discoparse.decision_tree import Instance
 from discoparse.pipeline import _connective_syntax, _node_candidates
 
@@ -283,6 +284,28 @@ def greedy_true_positives(gold, predicted):
             true_positives[dimension] += _greedy_true_positives(
                 gold_rels, pred_rels, match)
     return true_positives
+
+
+def bruteforce_candidates(document, lexicon):
+    """The connective matcher before the lexicon was indexed: at every
+    position it joins and looks up every length from the longest key's word
+    count down, and takes the first hit."""
+    longest = max((len(key.split(" ")) for key in lexicon.entries), default=0)
+    candidates = []
+    for sentence in document.sentences:
+        lowered = [token.surface.lower() for token in sentence.tokens]
+        i = 0
+        while i < len(lowered):
+            for length in range(min(longest, len(lowered) - i), 0, -1):
+                key = " ".join(lowered[i:i + length])
+                if key in lexicon.entries:
+                    candidates.append(ConnectiveCandidate(sentence.sent_index, i,
+                                                          i + length, key))
+                    i += length
+                    break
+            else:
+                i += 1
+    return candidates
 
 
 # The two dataset builders training used before one pass built both, kept

@@ -320,6 +320,34 @@ def test_deeply_nested_json_exits_2(corpus_on_disk, trained_model_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reader", ["parses", "relations"])
+def test_overlong_integer_exits_2(corpus_on_disk, trained_model_path, tmp_path,
+                                  reader):
+    # Python refuses to read an integer of more than 4,300 digits.
+    number = "1" * 5000
+    out = tmp_path / "out.jsonl"
+    if reader == "parses":
+        # After every fixture document, so that parsing is under way.
+        text = (corpus_on_disk / "parses.json").read_text(encoding="utf-8").rstrip()
+        parses = tmp_path / "parses.json"
+        parses.write_text(f'{text[:-1]}, "long": {number}}}', encoding="utf-8")
+        result = _run_cli(["parse", "--model", str(trained_model_path),
+                           "--parses", str(parses), "--raw", str(corpus_on_disk / "raw"),
+                           "--out", str(out)])
+        message = "error: malformed parses JSON: "
+    else:
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(f'{{"ID": {number}}}\n')
+        result = _run_cli(["score", "--gold", str(corpus_on_disk / "relations.jsonl"),
+                           "--pred", str(pred)])
+        message = "error: line 1: malformed JSON: "
+    assert result.returncode == 2, result.stderr
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(message)
+    assert result.stdout == ""
+    assert not out.exists()
+
+
 def test_parse_keeps_crlf_offsets(trained_model_path, tmp_path):
     # Offsets count the file's characters as stored, "\r\n" included.
     bracketings = ["(S (NP (NNS prices)) (VP (VBD fell)) (. .))",
@@ -530,7 +558,7 @@ def test_train_refuses_a_missing_directory_before_loading(corpus_on_disk,
                                     "usage-feature", "argument-feature",
                                     "list-feature", "total-count-string",
                                     "total-count-negative", "total-count-bool",
-                                    "format-version-true"])
+                                    "format-version-true", "sense-surrogate"])
 def test_parse_rejects_an_unusable_model_at_load(corpus_on_disk,
                                                  trained_model_path, tmp_path,
                                                  defect):
@@ -560,6 +588,10 @@ def test_parse_rejects_an_unusable_model_at_load(corpus_on_disk,
             stats["total_count"] = value
     elif defect == "format-version-true":
         data["format_version"] = True
+    elif defect == "sense-surrogate":
+        # json.dumps escapes it as "\ud800", which json.load reads back.
+        for stats in data["lexicon"]["entries"].values():
+            stats["sense_counts"] = {"\ud800": 1}
     else:
         for stats in data["lexicon"]["entries"].values():
             stats["sense_counts"] = {sense: "x" for sense in stats["sense_counts"]}

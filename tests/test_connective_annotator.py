@@ -3,6 +3,8 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discoparse import (ConnectiveLexicon, Leaf, classify_usage,
                         exact_cover_chain, extract_connective_features,
@@ -12,9 +14,10 @@ from discoparse.connective_annotator import (CASE_INITIAL_UPPER, CASE_LOWER,
                                              USAGE_NEGATIVE, USAGE_POSITIVE,
                                              case_category)
 from discoparse.connective_lexicon import ConnectiveStats
+from discoparse.corpus_io import Document, Sentence, Token
 from discoparse.decision_tree import Instance
 
-from support import build_document_json
+from support import bruteforce_candidates, build_document_json
 
 
 def _lexicon(*keys):
@@ -88,6 +91,51 @@ def test_candidates_sorted_and_disjoint(corpus_documents, corpus_gold):
                 assert a.token_end <= b.token_begin
         for c in candidates:
             assert c.surface in lexicon.entries
+
+
+# Three words, so that keys often share a first word and sentences often
+# hold them.
+_WORDS = ("as", "soon", "so")
+# Leaves are split on whitespace, so a surface holds none; case is mixed.
+_surfaces = st.one_of(
+    st.sampled_from(_WORDS), st.sampled_from(_WORDS).map(str.upper),
+    st.sampled_from(_WORDS).map(str.title),
+    st.text(st.characters(blacklist_categories=["Zs", "Zl", "Zp", "Cc"]),
+            min_size=1, max_size=3))
+_phrases = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4)
+# Keys may run longer than short sentences, and may hold upper case or the
+# stray spaces a model file can carry.
+_keys = st.one_of(
+    _phrases.map(" ".join), _phrases.map(" ".join),
+    _phrases.flatmap(lambda words: st.sampled_from(
+        [" ".join(words).title(), " " + " ".join(words), " ".join(words) + " ",
+         "  ".join(words)])),
+    st.text(max_size=6))
+
+
+def _document(sentences):
+    built, doc_index = [], 0
+    for sent_index, surfaces in enumerate(sentences):
+        tokens = []
+        for i, surface in enumerate(surfaces):
+            tokens.append(Token(surface, 0, 0, "NN", doc_index, sent_index, i))
+            doc_index += 1
+        built.append(Sentence(tuple(tokens), None, sent_index))
+    return Document("d", tuple(built))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(keys=st.lists(_keys, max_size=8),
+       sentences=st.lists(st.lists(_surfaces, min_size=1, max_size=8),
+                          min_size=1, max_size=3))
+# The first sentence ends on "as", where a three-word slice runs past its end
+# and spells the key "as".
+@example(keys=["as", "as soon as", "as long as"],
+         sentences=[["As", "soon", "as", "AS", "long", "as", "as"], ["as", "soon"]])
+@example(keys=[], sentences=[["as"]])
+def test_find_candidates_matches_bruteforce(keys, sentences):
+    document, lexicon = _document(sentences), _lexicon(*keys)
+    assert find_candidates(document, lexicon) == bruteforce_candidates(document, lexicon)
 
 
 def _features(cand, sentence):

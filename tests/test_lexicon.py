@@ -37,13 +37,13 @@ def test_mine_skips_non_explicit(corpus_documents):
                               ("Expansion.Conjunction",))]
     lexicon = mine_lexicon(gold, corpus_documents)
     assert lexicon.entries == {}
-    assert lexicon.max_token_length == 0
+    assert lexicon.lengths_by_first_word == {}
 
 
 def test_mine_multiword_key_and_token_length(corpus_documents, corpus_gold):
     lexicon = mine_lexicon(corpus_gold, corpus_documents)
     assert "as soon as" in lexicon.entries
-    assert lexicon.max_token_length == 3
+    assert lexicon.lengths_by_first_word["as"] == [3]
     assert len(lexicon.entries) == 12
 
 

@@ -537,6 +537,10 @@ def _when_lexicon(total_count, sense_counts):
                  id="sense-count-bool"),
     pytest.param("lexicon", _when_lexicon(1, {"S": 1.0}), "sense_counts={'S': 1.0}",
                  id="sense-count-float"),
+    pytest.param("lexicon", _when_lexicon(1, {"\ud800": 1}), "surrogates not allowed",
+                 id="sense-surrogate"),
+    pytest.param("lexicon", ConnectiveLexicon({"wh\ud800en": ConnectiveStats(1, {"S": 1})}),
+                 "surrogates not allowed", id="key-surrogate"),
     pytest.param("lexicon", _when_lexicon("x", {"S": 1}), "total_count='x'",
                  id="total-count-string"),
     pytest.param("lexicon", _when_lexicon(-1, {"S": 1}), "total_count=-1",
