@@ -23,7 +23,7 @@ from .decision_tree import Branch, Instance, Leaf, predict, train
 from .errors import DiscoParseError
 from .evaluation import PRF, score
 from .parse_tree import (ConstituentNode, exact_cover_chain, node_context,
-                         parse_ptb, path_to_root, render_path)
+                         parse_ptb, path_to_root)
 from .pipeline import (ParserModel, load_model, parse_document, save_model,
                        train_model)
 
@@ -40,5 +40,5 @@ __all__ = [
     "load_model", "load_parses", "load_relations", "merge_arguments",
     "mine_lexicon", "node_context", "parse_document",
     "parse_ptb", "path_to_root", "predict", "prune_candidates",
-    "render_path", "save_model", "score", "train", "train_model",
+    "save_model", "score", "train", "train_model",
 ]

@@ -2,8 +2,8 @@
 
 Candidate constituents are pruned to the nodes hanging directly off the
 connective-to-root path, classified three ways (part of Arg1, part of Arg2,
-neither), and the picked nodes are merged into token spans. When nothing is
-labeled part of Arg1 the whole previous sentence serves as Arg1; without a
+neither), and the picked nodes are merged into token spans. When the merged
+Arg1 is empty the whole previous sentence serves as Arg1; without a
 previous sentence the relation is dropped.
 """
 
@@ -14,8 +14,10 @@ from operator import attrgetter
 
 from .connective_annotator import CONNECTIVE_FEATURES
 from .decision_tree import predict
-from .parse_tree import node_context, path_to_root, render_path
+from .parse_tree import node_context, path_to_root
 
+UP = "↑"
+DOWN = "↓"
 POSITION_LEFT = "left"
 POSITION_RIGHT = "right"
 NODE_FEATURES = (*CONNECTIVE_FEATURES, "path_to_self_cat", "node_context", "node_position")
@@ -46,22 +48,35 @@ def prune_candidates(connective_selfcat):
     return pruned
 
 
-def extract_node_features(node, connective, features, top):
+def extract_node_features(node, connective, features, path, top_index):
     """The nine NODE_FEATURES of one candidate constituent: the six connective
     features plus the node's path to the connective category, its context,
     and its position (left or right of the connective's first token).
 
-    features is the connective's feature dict, copied and never mutated,
-    and top the top of its exact-cover chain, both computed once per
-    connective.
+    features is the connective's feature dict, copied and never mutated;
+    path is the root path of the bottom of its exact-cover chain, and
+    top_index the index in it of the chain's top (len(chain) - 1), all
+    computed once per connective.
     """
     position = POSITION_LEFT if node.token_begin < connective.token_begin else POSITION_RIGHT
     return {
         **features,
-        "path_to_self_cat": render_path(node, top),
+        "path_to_self_cat": _path_to_self_cat(node, path, top_index),
         "node_context": "-".join(node_context(node)),
         "node_position": position,
     }
+
+
+def _path_to_self_cat(node, path, top_index):
+    """The labels from a pruned node up to its parent path[k], the lowest
+    path node holding its first token, then on up to the chain top
+    path[top_index] or back down to it, e.g. ``S ↑ SBAR ↓ WHADVP``."""
+    first = node.token_begin
+    k = next(k for k, above in enumerate(path) if above.token_begin <= first < above.token_end)
+    if k <= top_index:
+        return f" {UP} ".join([node.label] + [above.label for above in path[k:top_index + 1]])
+    return f" {DOWN} ".join([f"{node.label} {UP} {path[k].label}"]
+                            + [below.label for below in reversed(path[top_index:k])])
 
 
 def classify_constituents(candidates, model):
@@ -89,36 +104,29 @@ def merge_arguments(labels, connective, document):
     """Merge labeled constituents into (arg1_tokens, arg2_tokens).
 
     Connective tokens are excluded from both spans and Arg2 wins token
-    overlaps. Returns None when the relation must be dropped (no Arg1Part
-    node and no previous sentence to fall back on). When nothing is labeled
-    Arg2Part, Arg2 degenerates to the connective's sentence minus the
-    connective and Arg1 tokens.
+    overlaps. When the merged Arg1 is empty, the previous sentence becomes
+    Arg1; when the merged Arg2 is empty, the connective's sentence minus
+    the connective and Arg1 becomes Arg2. Returns None when the relation
+    must be dropped: the connective is in the first sentence and Arg1 is
+    empty, or Arg2 is empty even after its fallback.
     """
     sentence = document.sentences[connective.sent_index]
     conn_tokens = set(sentence.doc_span(connective.token_begin, connective.token_end))
-    arg1_nodes = [n for n, label in labels.items() if label is ConstituentLabel.ARG1_PART]
-    arg2_nodes = [n for n, label in labels.items() if label is ConstituentLabel.ARG2_PART]
-
-    arg2 = set()
-    for node in arg2_nodes:
-        arg2.update(sentence.doc_span(node.token_begin, node.token_end))
+    arg1, arg2 = set(), set()
+    for node, label in labels.items():
+        if label is not ConstituentLabel.NONE:
+            part = arg1 if label is ConstituentLabel.ARG1_PART else arg2
+            part.update(sentence.doc_span(node.token_begin, node.token_end))
     arg2 -= conn_tokens
+    arg1 -= conn_tokens | arg2
 
-    if arg1_nodes:
-        arg1 = set()
-        for node in arg1_nodes:
-            arg1.update(sentence.doc_span(node.token_begin, node.token_end))
-        arg1 -= conn_tokens
-        arg1 -= arg2
-    elif connective.sent_index == 0:
-        return None
-    else:
+    if not arg1:
+        if connective.sent_index == 0:
+            return None
         previous = document.sentences[connective.sent_index - 1]
         arg1 = set(previous.doc_span(0, len(previous.tokens)))
-
-    if not arg2_nodes:
-        arg2 = set(sentence.doc_span(0, len(sentence.tokens)))
-        arg2 -= conn_tokens
-        arg2 -= arg1
-
+    if not arg2:
+        arg2 = set(sentence.doc_span(0, len(sentence.tokens))) - conn_tokens - arg1
+        if not arg2:
+            return None
     return tuple(sorted(arg1)), tuple(sorted(arg2))

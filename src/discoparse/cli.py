@@ -21,6 +21,8 @@ from .evaluation import format_table, report_dict, score
 from .pipeline import load_model, parse_document, save_model, train_model
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
+# Every character str.splitlines breaks at, escaped, so an error stays one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def _positive_int(text):
@@ -146,15 +148,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = exc, 2
     except OSError as exc:
-        name = exc.filename or ""
-        print(f"error: cannot access {name}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        message, code = f"cannot access {exc.filename or ''}: {exc.strerror or exc}", 2
     except DiscoParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = exc, 1
+    print(f"error: {message}".translate(_LINE_BREAKS), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

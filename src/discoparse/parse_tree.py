@@ -1,8 +1,8 @@
 """Immutable constituency trees parsed from PTB bracketings.
 
-Provides what every syntactic feature reads: covered token spans, paths
-to the root, node-to-node paths through the lowest common ancestor, and
-node_context, the one reader of parent and sibling labels.
+Provides what every syntactic feature reads: covered token spans, the
+exact-cover chain of a span, paths to the root, and node_context, the one
+reader of parent and sibling labels.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from itertools import islice
 
 from .errors import TreeParseError
 
-UP = "↑"
-DOWN = "↓"
 NULL_LABEL = "null"
 
 
@@ -170,25 +168,22 @@ def exact_cover_chain(tree, token_range):
     lowest node covering a superset of the span is returned alone.
 
     Sibling spans are disjoint, so at most one child of a node covers the
-    span: the search descends from the root along that child and visits
-    only the nodes on one root-to-span path.
+    span: the search descends from the root along that child to the lowest
+    cover, recording the nodes it passes. The exact covers are the trailing
+    run of those nodes.
     """
     begin, end = _validate_range(tree, token_range)
-    node = tree
+    descent = [tree]
     while True:
         # The first child ending after begin is the only one that can cover.
-        child = next(child for child in node.children if child.token_end > begin)
+        child = next(child for child in descent[-1].children if child.token_end > begin)
         if child.is_terminal or child.token_end < end:
             break
-        node = child
-    if node.token_begin != begin or node.token_end != end:
-        return [node]
-    chain = [node]
-    parent = node.parent
-    while parent is not None and parent.token_begin == begin and parent.token_end == end:
-        chain.append(parent)
-        parent = parent.parent
-    return chain
+        descent.append(child)
+    chain = []
+    while descent and descent[-1].token_begin == begin and descent[-1].token_end == end:
+        chain.append(descent.pop())
+    return chain or descent[-1:]
 
 
 def path_to_root(node):
@@ -197,32 +192,6 @@ def path_to_root(node):
     while path[-1].parent is not None:
         path.append(path[-1].parent)
     return path
-
-
-def render_path(source, target):
-    """Render the path between two nodes of one tree.
-
-    The path runs up from source to the lowest common ancestor and then
-    down to target; labels are joined with arrow glyphs, e.g.
-    ``S <up> SBAR <down> WHADVP``. Raises ValueError if the nodes do not
-    share a tree.
-    """
-    if source is target:
-        return source.label
-    upward = path_to_root(source)
-    positions = {id(node): i for i, node in enumerate(upward)}
-    downward = []
-    node = target
-    while id(node) not in positions:
-        downward.append(node)
-        node = node.parent
-        if node is None:
-            raise ValueError("nodes belong to different trees")
-    lca_index = positions[id(node)]
-    rendered = f" {UP} ".join(n.label for n in upward[:lca_index + 1])
-    for n in reversed(downward):
-        rendered += f" {DOWN} {n.label}"
-    return rendered
 
 
 def node_context(node):

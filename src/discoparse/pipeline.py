@@ -27,7 +27,7 @@ from .connective_lexicon import (ConnectiveLexicon, ConnectiveStats,
 from .corpus_io import DiscourseRelation, atomic_output
 from .decision_tree import Branch, Instance, Leaf, train
 from .errors import ModelFormatError, TrainingError
-from .parse_tree import exact_cover_chain
+from .parse_tree import exact_cover_chain, path_to_root
 
 logger = logging.getLogger(__name__)
 
@@ -84,9 +84,11 @@ def _connective_syntax(candidate, sentence):
 
 
 def _node_candidates(candidate, chain, features):
-    """(node, feature dict) for every pruned constituent of a candidate."""
-    top = chain[-1]
-    return [(node, extract_node_features(node, candidate, features, top))
+    """(node, feature dict) for every pruned constituent of a candidate;
+    every node's path feature is read off one root path of the chain."""
+    path = path_to_root(chain[0])
+    top_index = len(chain) - 1
+    return [(node, extract_node_features(node, candidate, features, path, top_index))
             for node in prune_candidates(chain[0])]
 
 
@@ -158,8 +160,8 @@ def parse_document(document, model):
 
     Relation ids are assigned sequentially from 0 within the document.
     Candidates rejected by the usage classifier contribute nothing; merge
-    failures (connective in the first sentence with no Arg1 constituent)
-    drop the relation.
+    failures (an empty Arg1 in the first sentence, or an empty Arg2) drop
+    the relation.
     """
     relations = []
     dropped = 0
@@ -187,8 +189,8 @@ def parse_document(document, model):
         )
         relations.append(annotate_sense(relation, model.lexicon, candidate.surface))
     if dropped:
-        logger.debug("document '%s': dropped %d relations without a previous "
-                     "sentence for Arg1", document.doc_id, dropped)
+        logger.debug("document '%s': dropped %d relations with an empty argument",
+                     document.doc_id, dropped)
     return relations
 
 

@@ -11,7 +11,7 @@ import json
 
 from discoparse import DiscourseRelation, load_parses
 
-from support import build_document_json
+from support import build_document_json, load_document
 
 # The worked reference sentence: an 11-token clause pair joined by "when".
 REFERENCE_BRACKETING = (
@@ -123,7 +123,4 @@ def corpus_gold():
 
 def reference_document():
     """Single-document corpus holding only the worked reference sentence."""
-    entry, raw_text = build_document_json([REFERENCE_BRACKETING])
-    documents = load_parses(json.dumps({"ex01": entry}).encode("utf-8"),
-                            {"ex01": raw_text})
-    return documents[0]
+    return load_document([REFERENCE_BRACKETING], "ex01")

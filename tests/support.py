@@ -1,9 +1,10 @@
 """Test-side helpers kept independent of the package internals.
 
 The leaf extractor, the tree walk, the entropy calculator, the whole-tree
-cover search, the root-down node contexts and the brute-force pruning
-filter re-derive their answers from first principles so the tests they
-feed do not lean on the code paths under test.
+cover search, the root-down node contexts, the brute-force pruning filter
+and the lowest-common-ancestor path renderer re-derive their answers from
+first principles so the tests they feed do not lean on the code paths
+under test.
 The scanning scorer, the brute-force connective matcher, the two
 training-set builders and the whole-file parses reader are earlier versions
 of package code, kept as references that the current versions must agree
@@ -16,6 +17,7 @@ import math
 import re
 from collections import Counter
 
+from discoparse import load_parses
 from discoparse.argument_labeler import gold_constituent_label
 from discoparse.connective_annotator import (USAGE_NEGATIVE, USAGE_POSITIVE,
                                              ConnectiveCandidate, find_candidates)
@@ -63,6 +65,13 @@ def build_document_json(bracketings):
         sentences.append({"parsetree": bracketing, "words": words})
         raw_parts.append(" ".join(word for _, word in leaves))
     return {"sentences": sentences}, "\n".join(raw_parts)
+
+
+def load_document(bracketings, doc_id="doc"):
+    """The Document of one build_document_json entry, loaded by load_parses."""
+    entry, raw_text = build_document_json(bracketings)
+    document, = load_parses(json.dumps({doc_id: entry}).encode("utf-8"), {doc_id: raw_text})
+    return document
 
 
 def walk(node):
@@ -149,21 +158,42 @@ def walk_node_contexts(root):
     return contexts
 
 
+def _climb(node):
+    """[node, its parent, ..., root], by parent links."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = node.parent
+    return path
+
+
 def bruteforce_prune(root, anchor):
     """Definition filter: off-path nodes whose parent is on the anchor's
     root path, applied to every non-terminal node of the tree.
     """
-    path = []
-    node = anchor
-    while node is not None:
-        path.append(node)
-        node = node.parent
-    on_path = {id(n) for n in path}
+    on_path = {id(n) for n in _climb(anchor)}
     return [n for n in walk(root)
             if not n.is_terminal
             and id(n) not in on_path
             and n.parent is not None
             and id(n.parent) in on_path]
+
+
+def render_path(source, target):
+    """The labels from source up to the lowest common ancestor of two nodes
+    of one tree and down to target, e.g. ``S ↑ SBAR ↓ WHADVP``: the general
+    search the package ran for each argument candidate before it read the
+    path feature off the connective's root path.
+    """
+    upward = _climb(source)
+    positions = {id(node): i for i, node in enumerate(upward)}
+    downward = []
+    node = target
+    while id(node) not in positions:
+        downward.append(node)
+        node = node.parent
+    rising = " ↑ ".join(n.label for n in upward[:positions[id(node)] + 1])
+    return " ↓ ".join([rising] + [n.label for n in reversed(downward)])
 
 
 def _entropy_of(values):

@@ -14,8 +14,8 @@ from discoparse import (ConnectiveLexicon, Leaf, exact_cover_chain,
                         export_relations, extract_connective_features,
                         extract_node_features, find_candidates,
                         load_parses, load_relations, mine_lexicon,
-                        parse_document, parse_ptb, prune_candidates, score,
-                        train, train_model)
+                        parse_document, parse_ptb, path_to_root,
+                        prune_candidates, score, train, train_model)
 from discoparse.connective_annotator import USAGE_POSITIVE
 from discoparse.connective_lexicon import ConnectiveStats
 from discoparse.decision_tree import Branch, gain_ratio
@@ -52,7 +52,8 @@ def test_golden_connective_and_node_features():
 
     sbar = next(n for n in walk(sentence.tree) if n.label == "SBAR")
     clause = sbar.children[1]
-    node = extract_node_features(clause, candidate, conn, chain[-1])
+    node = extract_node_features(clause, candidate, conn,
+                                 path_to_root(chain[0]), len(chain) - 1)
     assert node["path_to_self_cat"] == "S ↑ SBAR ↓ WHADVP"
     assert node["node_context"] == "S-SBAR-WHADVP-null"
     _passed("golden connective and node features", started, 1.0)

@@ -685,12 +685,12 @@ def _json_at(document, path):
 
 
 @st.composite
-def _mutated_model(draw, model):
-    """The model JSON with one value replaced by any JSON value, one key or
-    item deleted, or one key added. Keys and strings of the model itself are
-    drawn as often as arbitrary text, so that a value can become a name
-    that is valid elsewhere in the model."""
-    located = {path: _json_at(model, path) for path in _json_paths(model)}
+def _mutated_json(draw, document):
+    """The JSON document with one value replaced by any JSON value, one key
+    or item deleted, or one key or item added. Keys and strings of the
+    document itself are drawn as often as arbitrary text, so that a value
+    can become a name that is valid elsewhere in it."""
+    located = {path: _json_at(document, path) for path in _json_paths(document)}
     names = {path[-1] for path in located if isinstance(path[-1], str)}
     names.update(value for value in located.values() if isinstance(value, str))
     keys = st.sampled_from(sorted(names)) | st.text(max_size=8)
@@ -699,13 +699,16 @@ def _mutated_model(draw, model):
         lambda inner: st.lists(inner, max_size=3)
         | st.dictionaries(keys, inner, max_size=3),
         max_leaves=6)
-    mutated = copy.deepcopy(model)
+    mutated = copy.deepcopy(document)
     action = draw(st.sampled_from(["replace", "delete", "add"]))
     if action == "add":
-        objects = [()] + [path for path, value in located.items()
-                          if isinstance(value, dict)]
-        container = _json_at(mutated, draw(st.sampled_from(objects)))
-        container[draw(keys)] = draw(values)
+        containers = [()] + [path for path, value in located.items()
+                             if isinstance(value, (dict, list))]
+        container = _json_at(mutated, draw(st.sampled_from(containers)))
+        if isinstance(container, dict):
+            container[draw(keys)] = draw(values)
+        else:
+            container.insert(draw(st.integers(0, len(container))), draw(values))
         return mutated
     *parents, key = draw(st.sampled_from(list(located)))
     container = _json_at(mutated, parents)
@@ -714,6 +717,19 @@ def _mutated_model(draw, model):
     else:
         del container[key]
     return mutated
+
+
+def _assert_done_or_refused(code, capsys, out=None):
+    """Exit 0, or exit 2 with one `error:` line on stderr and no output:
+    no file at out, or nothing on stdout when out is None. Returns the
+    stderr lines."""
+    captured = capsys.readouterr()
+    errors = captured.err.splitlines()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert captured.out == "" if out is None else not out.exists()
+    return errors
 
 
 @settings(max_examples=150, deadline=None, database=None,
@@ -725,16 +741,80 @@ def test_a_mutated_model_file_is_parsed_or_refused(corpus_on_disk,
     """No exception escapes main for any one-value change of the model file:
     it parses (exit 0), or it is refused in one line naming the file, with
     no output file (exit 2)."""
-    mutated = data.draw(_mutated_model(json.loads(trained_model_path.read_text())))
+    mutated = data.draw(_mutated_json(json.loads(trained_model_path.read_text())))
     model = tmp_path / "model.json"
     model.write_text(json.dumps(mutated), encoding="utf-8")
     out = tmp_path / "out.jsonl"
     out.unlink(missing_ok=True)
     capsys.readouterr()
     code = _parse(model, corpus_on_disk / "parses.json", corpus_on_disk / "raw", out)
-    errors = capsys.readouterr().err.splitlines()
-    assert code in (0, 2)
+    errors = _assert_done_or_refused(code, capsys, out)
     if code == 2:
-        assert len(errors) == 1
         assert errors[0].startswith(f"error: model file '{model}' ")
-        assert not out.exists()
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_parses_file_is_parsed_or_refused(corpus_on_disk,
+                                                    trained_model_path,
+                                                    tmp_path, capsys, data):
+    parses = json.loads((corpus_on_disk / "parses.json").read_text())
+    mutated = tmp_path / "parses.json"
+    mutated.write_text(json.dumps(data.draw(_mutated_json(parses))), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = _parse(trained_model_path, mutated, corpus_on_disk / "raw", out)
+    _assert_done_or_refused(code, capsys, out)
+
+
+def _write_mutated_relations(data, corpus_on_disk, path):
+    """A mutation of the gold relations file, read as the list of its lines."""
+    lines = (corpus_on_disk / "relations.jsonl").read_text(encoding="utf-8").splitlines()
+    mutated = data.draw(_mutated_json([json.loads(line) for line in lines]))
+    path.write_text("".join(json.dumps(item) + "\n" for item in mutated), encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_relations_file_is_scored_or_refused(corpus_on_disk, tmp_path,
+                                                       capsys, data):
+    gold = tmp_path / "gold.jsonl"
+    _write_mutated_relations(data, corpus_on_disk, gold)
+    capsys.readouterr()
+    code = main(["score", "--gold", str(gold),
+                 "--pred", str(corpus_on_disk / "relations.jsonl")])
+    _assert_done_or_refused(code, capsys)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_relations_file_is_trained_on_or_refused(corpus_on_disk, tmp_path,
+                                                           capsys, data):
+    gold = tmp_path / "gold.jsonl"
+    _write_mutated_relations(data, corpus_on_disk, gold)
+    out = tmp_path / "model.json"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["train", "--relations", str(gold),
+                 "--parses", str(corpus_on_disk / "parses.json"),
+                 "--raw", str(corpus_on_disk / "raw"),
+                 "--out", str(out), "--min-leaf", "1"])
+    _assert_done_or_refused(code, capsys, out)
+
+
+def test_an_error_holding_a_line_break_stays_one_line(corpus_on_disk,
+                                                      trained_model_path,
+                                                      tmp_path, capsys):
+    parses = json.loads((corpus_on_disk / "parses.json").read_text())
+    parses["fix\n01\u2028"] = parses.pop("fix01")
+    mutated = tmp_path / "parses.json"
+    mutated.write_text(json.dumps(parses), encoding="utf-8")
+    capsys.readouterr()
+    code = _parse(trained_model_path, mutated, corpus_on_disk / "raw", tmp_path / "out.jsonl")
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no raw text for document 'fix\\n01\\u2028'"]

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from discoparse import (exact_cover_chain, node_context, parse_ptb,
-                        path_to_root, render_path)
+from discoparse import exact_cover_chain, node_context, parse_ptb, path_to_root
 from discoparse.errors import TreeParseError
 from discoparse.parse_tree import _parse_ptb_leaves
 
@@ -115,60 +114,6 @@ def test_path_to_root_is_parent_chain(random_trees):
             for child, parent in zip(path, path[1:]):
                 assert child.parent is parent
             assert len(path) == depths[id(node)] + 1
-
-
-def test_render_path_clause_to_wh_phrase(reference_tree):
-    table = nodes_by_label(reference_tree)
-    s2 = table["SBAR"][0].children[1]
-    whadvp = table["WHADVP"][0]
-    assert render_path(s2, whadvp) == "S ↑ SBAR ↓ WHADVP"
-
-
-def test_render_path_to_self(reference_tree):
-    assert render_path(reference_tree, reference_tree) == "S"
-
-
-def test_render_path_subject_to_connective(reference_tree):
-    table = nodes_by_label(reference_tree)
-    np1 = reference_tree.children[0]
-    wrb = table["WRB"][0]
-    assert render_path(np1, wrb) == \
-        "NP ↑ S ↓ VP ↓ VP ↓ SBAR ↓ WHADVP ↓ WRB"
-
-
-def test_render_path_different_trees():
-    a = parse_ptb("(S (NN x))")
-    b = parse_ptb("(S (NN y))")
-    with pytest.raises(ValueError):
-        render_path(a.children[0], b.children[0])
-
-
-def test_render_path_reversal(random_trees):
-    rng = random.Random(7)
-    for tree in random_trees[:40]:
-        nodes = [n for n in walk(tree) if not n.is_terminal]
-        a, b = rng.choice(nodes), rng.choice(nodes)
-        forward = render_path(a, b).split(" ")
-        backward = render_path(b, a).split(" ")
-        swapped = [{"↑": "↓", "↓": "↑"}.get(t, t)
-                   for t in reversed(forward)]
-        assert backward == swapped
-
-
-def test_render_path_has_at_most_one_direction_change(random_trees):
-    rng = random.Random(17)
-    for tree in random_trees[:30]:
-        nodes = [n for n in walk(tree) if not n.is_terminal]
-        for _ in range(10):
-            a, b = rng.choice(nodes), rng.choice(nodes)
-            glyphs = [t for t in render_path(a, b).split(" ")
-                      if t in ("↑", "↓")]
-            seen_down = False
-            for glyph in glyphs:
-                if glyph == "↓":
-                    seen_down = True
-                else:
-                    assert not seen_down, "upward glyph after downward glyph"
 
 
 def test_node_context_subordinate_clause(reference_tree):

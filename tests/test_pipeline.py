@@ -1,17 +1,20 @@
 import json
 import logging
 import os
+import random
 import stat
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discoparse.pipeline
 
 from discoparse import (DiscourseRelation, annotate_sense, exact_cover_chain,
-                        find_candidates, load_parses, mine_lexicon,
-                        parse_document, score, train_model)
+                        export_relations, find_candidates, load_parses,
+                        mine_lexicon, parse_document, score, train_model)
 from discoparse.argument_labeler import ConstituentLabel
 from discoparse.connective_annotator import USAGE_NEGATIVE, USAGE_POSITIVE
 from discoparse.connective_lexicon import ConnectiveLexicon, ConnectiveStats
@@ -22,7 +25,8 @@ from discoparse.pipeline import (ParserModel, build_datasets, load_model,
 
 import fixture_corpus
 from support import (DEEP_ARRAY, build_argument_dataset, build_document_json,
-                     build_usage_dataset, nested_branches_json, tree_json_leaves)
+                     build_usage_dataset, nested_branches_json, random_tree_text,
+                     tree_json_leaves)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,87 @@ def test_parse_document_without_candidates(trained):
     entry, raw = build_document_json(["(S (NP (NN snow)) (VP (VBD melted)))"])
     doc, = load_parses(json.dumps({"empty": entry}).encode(), {"empty": raw})
     assert parse_document(doc, model) == []
+
+
+def _random_gold(rng, documents):
+    """Explicit relations on random one- or two-token spans of about two in
+    three sentences: Arg2 the tokens after the connective, Arg1 the previous
+    sentence, or the tokens before the connective in a first sentence."""
+    gold = []
+    for document in documents.values():
+        for sentence in document.sentences:
+            if rng.random() < 0.35:
+                continue
+            size = len(sentence.tokens)
+            begin = rng.randrange(size)
+            end = min(size, begin + rng.randint(1, 2))
+            if sentence.sent_index:
+                previous = document.sentences[sentence.sent_index - 1]
+                arg1 = previous.doc_span(0, len(previous.tokens))
+            else:
+                arg1 = sentence.doc_span(0, begin)
+            gold.append(DiscourseRelation(
+                document.doc_id, len(gold), "Explicit",
+                tuple(sentence.doc_span(begin, end)), tuple(arg1),
+                tuple(sentence.doc_span(end, size)),
+                (rng.choice(["Temporal", "Comparison", "Contingency"]),)))
+    return gold
+
+
+def _random_models(rng, documents, gold):
+    """The model trained on gold, when training succeeds, and one that takes
+    every match as a connective and labels candidates by side at random."""
+    labels = [label.value for label in ConstituentLabel]
+    sides = {side: Leaf(label, {label: 1})
+             for side, label in (("left", rng.choice(labels)), ("right", rng.choice(labels)))}
+    models = [ParserModel(mine_lexicon(gold, documents),
+                          Leaf(USAGE_POSITIVE, {USAGE_POSITIVE: 1}),
+                          Branch("node_position", sides, "left"))]
+    try:
+        models.append(train_model(documents, gold, min_leaf=rng.randint(1, 2)))
+    except TrainingError:  # no gold connective reproduced by the matcher
+        pass
+    return models
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_parsed_relations_keep_the_pipeline_invariants(seed):
+    rng = random.Random(seed)
+    entries = {f"d{i}": build_document_json([random_tree_text(rng, max_depth=5)
+                                             for _ in range(rng.randint(1, 4))])
+               for i in range(rng.randint(2, 4))}
+
+    def load(doc_ids):
+        parses = json.dumps({doc_id: entries[doc_id][0] for doc_id in doc_ids})
+        return load_parses(parses.encode(), {doc_id: entries[doc_id][1] for doc_id in doc_ids})
+
+    documents = {document.doc_id: document for document in load(entries)}
+    gold = _random_gold(rng, documents)
+    if not gold:
+        return
+    for model in _random_models(rng, documents, gold):
+        relations = []
+        for document in documents.values():
+            found = parse_document(document, model)
+            assert [rel.relation_id for rel in found] == list(range(len(found)))
+            # A document's relations do not depend on the documents beside it.
+            alone, = load([document.doc_id])
+            assert parse_document(alone, model) == found
+            for rel in found:
+                connective, arg1, arg2 = (set(rel.connective_tokens), set(rel.arg1_tokens),
+                                          set(rel.arg2_tokens))
+                assert connective and arg1 and arg2
+                assert connective.isdisjoint(arg1) and connective.isdisjoint(arg2)
+                assert arg1.isdisjoint(arg2)
+                sent, = {document.tokens[i].sent_index for i in connective}
+                assert {document.tokens[i].sent_index for i in arg1} <= {sent - 1, sent}
+                assert {document.tokens[i].sent_index for i in arg2} == {sent}
+            relations += found
+        exported = export_relations(relations, documents)
+        again = [rel for document in documents.values()
+                 for rel in parse_document(document, model)]
+        assert export_relations(again, documents) == exported
 
 
 def test_empty_gold_is_a_training_error(corpus_documents):
