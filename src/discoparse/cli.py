@@ -3,11 +3,26 @@
 Exit codes: 0 success, 1 internal error, 2 usage or input error. Logs go to
 standard error only; data goes to the files named by flags or to standard
 output.
+
+Collector policy. Every parse tree is a reference cycle (each node points
+at its parent), so the cyclic collector rescans the whole training corpus
+while `train` runs, and frees it all again at interpreter shutdown. Two
+settings, measured on CPython 3.11 (3.14 makes the collector incremental):
+
+* cmd_train raises the first-generation threshold to _TRAIN_GC_THRESHOLD
+  and restores the caller's thresholds on return, success or error.
+  `parse` keeps the default: its trees die one document at a time, and the
+  larger threshold measured slower on short documents.
+* run, the process entry point, freezes every object once main returns,
+  so the shutdown collection skips the dead trees and the OS reclaims
+  their memory. main never freezes, so an in-process caller gets its
+  interpreter back as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -21,6 +36,8 @@ from .evaluation import format_table, report_dict, score
 from .pipeline import load_model, parse_document, save_model, train_model
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
+# Collector thresholds while train loads the corpus and trains on it.
+_TRAIN_GC_THRESHOLD = (20000, 10, 10)
 # Every character str.splitlines breaks at, escaped, so an error stays one line.
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
@@ -81,7 +98,11 @@ def _read_raw_dir(path):
         full = os.path.join(path, name)
         if os.path.isfile(full):
             with open(full, "r", encoding="utf-8", newline="") as handle:
-                raw[name] = handle.read()
+                try:
+                    raw[name] = handle.read()
+                except UnicodeDecodeError as exc:
+                    raise InputFormatError(
+                        f"raw text file '{full}' is not UTF-8: {exc}") from exc
     return raw
 
 
@@ -93,13 +114,21 @@ def _load_documents(parses_path, raw_dir):
 
 
 def cmd_train(args):
-    """Train and write the model; a bad --out is refused before any input is read."""
-    with atomic_output(args.out) as out:
-        with open(args.relations, "rb") as handle:
-            gold = load_relations(handle)
-        documents = _load_documents(args.parses, args.raw)
-        model = train_model(documents, gold, args.min_leaf)
-        save_model(model, out)
+    """Train and write the model; a bad --out is refused before any input is read.
+
+    Runs under _TRAIN_GC_THRESHOLD and restores the caller's thresholds.
+    """
+    saved = gc.get_threshold()
+    gc.set_threshold(*_TRAIN_GC_THRESHOLD)
+    try:
+        with atomic_output(args.out) as out:
+            with open(args.relations, "rb") as handle:
+                gold = load_relations(handle)
+            documents = _load_documents(args.parses, args.raw)
+            model = train_model(documents, gold, args.min_leaf)
+            save_model(model, out)
+    finally:
+        gc.set_threshold(*saved)
     print(f"lexicon: {len(model.lexicon.entries)} connectives", file=sys.stderr)
     for name, tree in (("usage", model.usage_tree),
                        ("argument", model.argument_tree)):
@@ -157,5 +186,19 @@ def main(argv=None):
     return code
 
 
+def run():
+    """Process entry point: main, then gc.freeze, then exit with main's code.
+
+    The freeze moves every object, the dead parse trees included, into the
+    permanent generation, which the shutdown collection skips; the OS
+    reclaims that memory instead. Files are closed before main returns,
+    and logging's and the standard streams' flushes still run at exit, but
+    cyclic garbage left at exit gets no finalizers.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -81,11 +81,17 @@ class DiscourseRelation:
     senses: tuple[str, ...]
 
 
-def _read_text(source):
+def _read_text(source, kind):
+    """The text of a binary handle, bytes or str; kind names it in errors."""
     if hasattr(source, "read"):
+        if hasattr(source, "name"):
+            kind = f"{kind} '{source.name}'"
         source = source.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        try:
+            return source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{kind} is not UTF-8: {exc}") from exc
     return source
 
 
@@ -95,17 +101,17 @@ def iter_parses(parses_json, raw_texts):
 
     The JSON object is decoded one document's entry at a time. The opening
     brace and the first entry are decoded here, so empty input yields no
-    documents, and a top level that is not an object or a malformed first
-    entry raises InputFormatError from this call. Every other error (a
-    later malformed entry, a repeated document id, data after the closing
-    brace, a document without raw text, a malformed sentence, word or tree)
-    raises when iteration reaches it, after the documents before it have
-    been yielded. Each entry is dropped as its Document is built, so a
-    caller that drops each Document in turn holds one document at a time.
-    Extra raw entries are ignored; dependency parses present in the file
-    are discarded.
+    documents, and input that is not UTF-8, a top level that is not an
+    object or a malformed first entry raises InputFormatError from this
+    call. Every other error (a later malformed entry, a repeated document
+    id, data after the closing brace, a document without raw text, a
+    malformed sentence, word or tree) raises when iteration reaches it,
+    after the documents before it have been yielded. Each entry is dropped
+    as its Document is built, so a caller that drops each Document in turn
+    holds one document at a time. Extra raw entries are ignored; dependency
+    parses present in the file are discarded.
     """
-    entries = _decode_entries(_read_text(parses_json))
+    entries = _decode_entries(_read_text(parses_json, "parses file"))
     first = next(entries, None)
     if first is None:
         return iter(())
@@ -237,7 +243,7 @@ def load_relations(relations_jsonl):
     TokenList entries may be plain document-level indices or the 5-tuple
     form; either way only the document-level index is kept.
     """
-    text = _read_text(relations_jsonl)
+    text = _read_text(relations_jsonl, "relations file")
     relations = []
     # "\n" only: str.splitlines also breaks at U+2028, U+2029 and U+0085 inside strings.
     for line_number, line in enumerate(text.split("\n"), start=1):

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -382,8 +383,32 @@ GOLDEN_SHA256 = {
 }
 
 
+def _digests(outputs):
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in outputs.items()}
+
+
+def _fresh_interpreter_digests(corpus_on_disk, tmp_path, **environ):
+    """Digests of the outputs of train and parse, each run by _run_cli."""
+    inputs = ["--parses", str(corpus_on_disk / "parses.json"),
+              "--raw", str(corpus_on_disk / "raw")]
+    outputs = {"model": tmp_path / "fresh-model.json"}
+    result = _run_cli(["train", "--relations", str(corpus_on_disk / "relations.jsonl"),
+                       *inputs, "--out", str(outputs["model"]), "--min-leaf", "1"],
+                      **environ)
+    assert result.returncode == 0, result.stderr
+    for name, extra in (("relations", []),
+                        ("relations-conll-tokenlist", ["--conll-tokenlist"])):
+        outputs[name] = tmp_path / f"fresh-{name}.jsonl"
+        result = _run_cli(["parse", "--model", str(outputs["model"]), *inputs,
+                           "--out", str(outputs[name]), *extra], **environ)
+        assert result.returncode == 0, result.stderr
+    return _digests(outputs)
+
+
 def test_outputs_match_golden_digests(corpus_on_disk, trained_model_path,
                                       tmp_path):
+    # In process through main, then in fresh interpreters through run.
     outputs = {"model": trained_model_path}
     for name, extra in (("relations", []),
                         ("relations-conll-tokenlist", ["--conll-tokenlist"])):
@@ -392,29 +417,14 @@ def test_outputs_match_golden_digests(corpus_on_disk, trained_model_path,
                      "--parses", str(corpus_on_disk / "parses.json"),
                      "--raw", str(corpus_on_disk / "raw"),
                      "--out", str(outputs[name]), *extra]) == 0
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for name, path in outputs.items()}
-    assert digests == GOLDEN_SHA256
+    assert _digests(outputs) == GOLDEN_SHA256
+    assert _fresh_interpreter_digests(corpus_on_disk, tmp_path) == GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_outputs_do_not_depend_on_the_hash_seed(corpus_on_disk, tmp_path, seed):
-    inputs = ["--parses", str(corpus_on_disk / "parses.json"),
-              "--raw", str(corpus_on_disk / "raw")]
-    outputs = {"model": tmp_path / "model.json"}
-    result = _run_cli(["train", "--relations", str(corpus_on_disk / "relations.jsonl"),
-                       *inputs, "--out", str(outputs["model"]), "--min-leaf", "1"],
-                      PYTHONHASHSEED=seed)
-    assert result.returncode == 0, result.stderr
-    for name, extra in (("relations", []),
-                        ("relations-conll-tokenlist", ["--conll-tokenlist"])):
-        outputs[name] = tmp_path / f"{name}.jsonl"
-        result = _run_cli(["parse", "--model", str(outputs["model"]), *inputs,
-                           "--out", str(outputs[name]), *extra], PYTHONHASHSEED=seed)
-        assert result.returncode == 0, result.stderr
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for name, path in outputs.items()}
-    assert digests == GOLDEN_SHA256
+    assert _fresh_interpreter_digests(corpus_on_disk, tmp_path,
+                                      PYTHONHASHSEED=seed) == GOLDEN_SHA256
 
 
 def _parse(model, parses, raw, out, *extra):
@@ -526,6 +536,84 @@ def _train(corpus, out):
     return main(["train", "--relations", str(corpus / "relations.jsonl"),
                  "--parses", str(corpus / "parses.json"),
                  "--raw", str(corpus / "raw"), "--out", str(out)])
+
+
+@pytest.mark.parametrize("explicit", [True, False], ids=["exit-0", "exit-2"])
+def test_train_leaves_the_collector_as_it_found_it(corpus_on_disk, tmp_path,
+                                                   monkeypatch, explicit):
+    relations = corpus_on_disk / "relations.jsonl"
+    if not explicit:
+        retyped = [{**json.loads(line), "Type": "Implicit"}
+                   for line in relations.read_text().splitlines()]
+        relations = tmp_path / "relations.jsonl"
+        relations.write_text("".join(json.dumps(obj) + "\n" for obj in retyped))
+    during = []
+    real_train_model = discoparse.cli.train_model
+
+    def recording(*args):
+        during.append(gc.get_threshold())
+        return real_train_model(*args)
+    monkeypatch.setattr(discoparse.cli, "train_model", recording)
+    saved, frozen = gc.get_threshold(), gc.get_freeze_count()
+    gc.set_threshold(1234, 5, 6)
+    try:
+        code = main(["train", "--relations", str(relations),
+                     "--parses", str(corpus_on_disk / "parses.json"),
+                     "--raw", str(corpus_on_disk / "raw"),
+                     "--out", str(tmp_path / "m.json")])
+        after = gc.get_threshold()
+    finally:
+        gc.set_threshold(*saved)
+    assert code == (0 if explicit else 2)
+    assert during == [discoparse.cli._TRAIN_GC_THRESHOLD]
+    assert after == (1234, 5, 6)
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_only_after_main_returns(monkeypatch):
+    events = []
+
+    def fake_main():
+        events.append("main")
+        return 3
+    monkeypatch.setattr(discoparse.cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as excinfo:
+        discoparse.cli.run()
+    assert excinfo.value.code == 3
+    assert events == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("command,broken", [
+    ("train", "raw"), ("train", "parses"), ("train", "relations"),
+    ("parse", "raw"), ("parse", "parses"), ("score", "gold")])
+def test_input_that_is_not_utf8_exits_2(corpus_on_disk, trained_model_path,
+                                        tmp_path, capsys, command, broken):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_on_disk, corpus)
+    target, kind = {"raw": (corpus / "raw" / "fix01", "raw text file"),
+                    "parses": (corpus / "parses.json", "parses file"),
+                    "relations": (corpus / "relations.jsonl", "relations file"),
+                    "gold": (corpus / "relations.jsonl", "relations file")}[broken]
+    size = target.stat().st_size
+    target.write_bytes(target.read_bytes() + b"\xff")
+    out = tmp_path / "out.json"
+    if command == "score":
+        argv = ["score", "--gold", str(target),
+                "--pred", str(corpus_on_disk / "relations.jsonl")]
+    else:
+        argv = [command, "--parses", str(corpus / "parses.json"),
+                "--raw", str(corpus / "raw"), "--out", str(out)]
+        argv += (["--relations", str(corpus / "relations.jsonl")] if command == "train"
+                 else ["--model", str(trained_model_path)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {kind} '{target}' is not UTF-8: 'utf-8' codec can't decode "
+        f"byte 0xff in position {size}: invalid start byte"]
+    assert not out.exists()
 
 
 def test_train_refuses_a_fifo_before_loading(corpus_on_disk, tmp_path,
