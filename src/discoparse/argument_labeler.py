@@ -30,19 +30,24 @@ class ConstituentLabel(enum.Enum):
 
 
 def prune_candidates(connective_selfcat):
-    """Constituents directly connected to the connective-to-root path.
+    """prune_path of the path from connective_selfcat up to the root."""
+    return prune_path(path_to_root(connective_selfcat))
 
-    With P the node path from connective_selfcat up to the root, returns
-    every non-terminal node that is off P but whose parent is on P, in
-    document order. Those are the non-terminal children of the nodes of P,
-    less P itself; they are disjoint subtrees, so ordering them by first
-    token gives document order.
+
+def prune_path(path):
+    """Constituents directly connected to a connective-to-root path.
+
+    With P the node path from the connective's node up to the root (as
+    path_to_root gives it), returns every non-terminal node that is off P
+    but whose parent is on P, in document order. Those are the
+    non-terminal children of the nodes of P, less P itself; they are
+    disjoint subtrees, so ordering them by first token gives document order.
     """
     pruned = []
     below = None
-    for node in path_to_root(connective_selfcat):
+    for node in path:
         pruned.extend(child for child in node.children
-                      if child is not below and not child.is_terminal)
+                      if child is not below and child.children)
         below = node
     pruned.sort(key=attrgetter("token_begin"))
     return pruned

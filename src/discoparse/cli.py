@@ -28,7 +28,7 @@ import logging
 import os
 import sys
 
-from .corpus_io import (atomic_output, export_relations, iter_parses,
+from .corpus_io import (_read_text, atomic_output, export_relations, iter_parses,
                         load_parses, load_relations)
 from .decision_tree import tree_size, tree_support
 from .errors import DiscoParseError, InputFormatError
@@ -97,12 +97,8 @@ def _read_raw_dir(path):
     for name in sorted(os.listdir(path)):
         full = os.path.join(path, name)
         if os.path.isfile(full):
-            with open(full, "r", encoding="utf-8", newline="") as handle:
-                try:
-                    raw[name] = handle.read()
-                except UnicodeDecodeError as exc:
-                    raise InputFormatError(
-                        f"raw text file '{full}' is not UTF-8: {exc}") from exc
+            with open(full, "rb") as handle:
+                raw[name] = _read_text(handle, "raw text file")[0]
     return raw
 
 

@@ -28,7 +28,7 @@ CONNECTIVE_FEATURES = ("conn_lowercase", "case_category", "self_cat", "self_cat_
 @dataclass(frozen=True)
 class ConnectiveCandidate:
     sent_index: int
-    token_begin: int  # index_in_sentence, half-open
+    token_begin: int  # index within the sentence, half-open
     token_end: int
     surface: str  # lowercased space-joined tokens; always a lexicon key
 
@@ -42,7 +42,7 @@ def find_candidates(document, lexicon):
     """
     candidates = []
     lengths_by_first_word = lexicon.lengths_by_first_word
-    for sentence in document.sentences:
+    for sent_index, sentence in enumerate(document.sentences):
         lowered = [token.surface.lower() for token in sentence.tokens]
         i = 0
         while i < len(lowered):
@@ -50,7 +50,7 @@ def find_candidates(document, lexicon):
                 end = i + length
                 # Past the sentence end the slice is short and can spell a shorter key.
                 if end <= len(lowered) and (key := " ".join(lowered[i:end])) in lexicon.entries:
-                    candidates.append(ConnectiveCandidate(sentence.sent_index, i, end, key))
+                    candidates.append(ConnectiveCandidate(sent_index, i, end, key))
                     i = end
                     break
             else:

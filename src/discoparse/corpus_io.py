@@ -14,6 +14,7 @@ import json
 import os
 import re
 import stat
+from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,10 @@ PTB_ESCAPES = {"-LRB-": "(", "-RRB-": ")", "-LCB-": "{", "-RCB-": "}"}
 
 # The whitespace JSON allows between tokens (str.isspace is wider).
 _JSON_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# Text decoded from UTF-8 holds no surrogate, so JSON text without one of
+# these escapes decodes to none; one scan of it gates the full check.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,15 +44,12 @@ class Token:
     char_end: int
     pos: str
     doc_index: int
-    sent_index: int
-    index_in_sentence: int
 
 
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
     tree: ConstituentNode
-    sent_index: int
 
     def doc_span(self, begin, end):
         """Document-level indices of this sentence's tokens [begin, end).
@@ -82,17 +84,35 @@ class DiscourseRelation:
 
 
 def _read_text(source, kind):
-    """The text of a binary handle, bytes or str; kind names it in errors."""
+    """(text, name) of a binary handle, bytes or str: name, for errors, is
+    kind with the handle's file name."""
     if hasattr(source, "read"):
         if hasattr(source, "name"):
             kind = f"{kind} '{source.name}'"
         source = source.read()
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            return source.decode("utf-8"), kind
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{kind} is not UTF-8: {exc}") from exc
-    return source
+    return source, kind
+
+
+def _check_surrogates(value, where):
+    """Raise InputFormatError when a key or string of value, decoded JSON,
+    holds a lone surrogate, which UTF-8 cannot encode. json pairs surrogate
+    escapes into one character, so any surrogate left is lone."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if found := _SURROGATE.search(item):
+                raise InputFormatError(f"{where} holds a lone surrogate {ascii(found[0])}")
+        elif isinstance(item, dict):
+            stack += item
+            stack += item.values()
+        elif isinstance(item, list):
+            stack += item
 
 
 def iter_parses(parses_json, raw_texts):
@@ -102,28 +122,31 @@ def iter_parses(parses_json, raw_texts):
     The JSON object is decoded one document's entry at a time. The opening
     brace and the first entry are decoded here, so empty input yields no
     documents, and input that is not UTF-8, a top level that is not an
-    object or a malformed first entry raises InputFormatError from this
-    call. Every other error (a later malformed entry, a repeated document
-    id, data after the closing brace, a document without raw text, a
-    malformed sentence, word or tree) raises when iteration reaches it,
-    after the documents before it have been yielded. Each entry is dropped
-    as its Document is built, so a caller that drops each Document in turn
-    holds one document at a time. Extra raw entries are ignored; dependency
-    parses present in the file are discarded.
+    object or a malformed first entry (a lone surrogate in it included)
+    raises InputFormatError from this call. Every other error (a later
+    malformed entry, a repeated document id, data after the closing brace,
+    a document without raw text, a malformed sentence, word or tree)
+    raises when iteration reaches it, after the documents before it have
+    been yielded. Each entry is dropped as its Document is built, so a
+    caller that drops each Document in turn holds one document at a time.
+    Extra raw entries are ignored; dependency parses present in the file
+    are discarded.
     """
-    entries = _decode_entries(_read_text(parses_json, "parses file"))
+    entries = _decode_entries(*_read_text(parses_json, "parses file"))
     first = next(entries, None)
     if first is None:
         return iter(())
     return _build_documents(chain((first,), entries), raw_texts)
 
 
-def _decode_entries(text):
+def _decode_entries(text, name):
     """(doc_id, decoded entry) for each member of the parses JSON object,
-    in file order, decoding one member per step; malformed JSON or a
-    repeated doc_id raises InputFormatError from the step that meets it."""
+    in file order, decoding one member per step; malformed JSON, a repeated
+    doc_id or a lone surrogate raises InputFormatError from the step that
+    meets it. name names the file in the surrogate error."""
     if not text.strip():
         return
+    surrogates = _SURROGATE_ESCAPE.search(text)
     skip = _JSON_WHITESPACE.match
     decode = json.JSONDecoder().raw_decode
     index = skip(text).end()
@@ -145,6 +168,8 @@ def _decode_entries(text):
             if not text.startswith(":", index):
                 raise json.JSONDecodeError("Expecting ':' delimiter", text, index)
             entry, end = decode(text, skip(text, index + 1).end())
+            if surrogates:
+                _check_surrogates([doc_id, entry], f"{name} document {doc_id!r}")
             yield doc_id, entry
             index = skip(text, end).end()
             more = text.startswith(",", index)
@@ -209,19 +234,18 @@ def _build_document(doc_id, doc_data, text_length):
                 raise InputFormatError(
                     f"{where}: word {i} is not ordered by character offset")
             last_begin = begin
-            tokens.append(Token(surface, begin, end, pos,
-                                doc_index, sent_index, i))
+            tokens.append(Token(surface, begin, end, pos, doc_index))
             doc_index += 1
         if len(leaves) != len(tokens):
             raise AlignmentError(
                 f"{where}: parse tree has {len(leaves)} leaves "
                 f"for {len(tokens)} words")
-        for leaf, token in zip(leaves, tokens):
+        for i, (leaf, token) in enumerate(zip(leaves, tokens)):
             if unescape(leaf.label, leaf.label) != unescape(token.surface, token.surface):
                 raise AlignmentError(
                     f"{where}: leaf '{leaf.label}' does not match "
-                    f"word '{token.surface}' at position {token.index_in_sentence}")
-        sentences.append(Sentence(tuple(tokens), tree, sent_index))
+                    f"word '{token.surface}' at position {i}")
+        sentences.append(Sentence(tuple(tokens), tree))
     return Document(doc_id, tuple(sentences))
 
 
@@ -243,7 +267,8 @@ def load_relations(relations_jsonl):
     TokenList entries may be plain document-level indices or the 5-tuple
     form; either way only the document-level index is kept.
     """
-    text = _read_text(relations_jsonl, "relations file")
+    text, name = _read_text(relations_jsonl, "relations file")
+    surrogates = _SURROGATE_ESCAPE.search(text)
     relations = []
     # "\n" only: str.splitlines also breaks at U+2028, U+2029 and U+0085 inside strings.
     for line_number, line in enumerate(text.split("\n"), start=1):
@@ -254,6 +279,8 @@ def load_relations(relations_jsonl):
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long to read
             raise InputFormatError(f"line {line_number}: malformed JSON: {exc}") from exc
+        if surrogates:
+            _check_surrogates(obj, f"{name} line {line_number}")
         relations.append(_relation_from_json(obj, line_number))
     return relations
 
@@ -286,19 +313,20 @@ def _relation_from_json(obj, line_number):
                              token_sets["Arg2"], tuple(senses))
 
 
-def _span_json(rel, indices, flat_tokens, conll_tokenlist):
+def _span_json(rel, indices, document, conll_tokenlist):
+    flat_tokens, sentences = document.tokens, document.sentences
     for index in indices:
         if not 0 <= index < len(flat_tokens):
             raise ExportError(
                 f"relation {rel.relation_id}: token index {index} out of "
                 f"range for document '{rel.doc_id}'")
     raw_text = " ".join(flat_tokens[i].surface for i in sorted(indices))
+    token_list = list(indices)
     if conll_tokenlist:
-        token_list = [[t.char_begin, t.char_end, t.doc_index,
-                       t.sent_index, t.index_in_sentence]
-                      for t in (flat_tokens[i] for i in indices)]
-    else:
-        token_list = list(indices)
+        for k, index in enumerate(indices):
+            sent = bisect_right(sentences, index, key=lambda s: s.tokens[0].doc_index) - 1
+            token_list[k] = [flat_tokens[index].char_begin, flat_tokens[index].char_end,
+                             index, sent, index - sentences[sent].tokens[0].doc_index]
     return {"RawText": raw_text, "TokenList": token_list}
 
 
@@ -315,15 +343,15 @@ def export_relations(relations, documents, conll_tokenlist=False):
         if rel.doc_id not in documents:
             raise ExportError(
                 f"relation {rel.relation_id}: unknown document '{rel.doc_id}'")
-        flat = documents[rel.doc_id].tokens
+        document = documents[rel.doc_id]
         obj = {
             "DocID": rel.doc_id,
             "ID": rel.relation_id,
             "Type": rel.relation_type,
             "Sense": list(rel.senses),
-            "Connective": _span_json(rel, rel.connective_tokens, flat, conll_tokenlist),
-            "Arg1": _span_json(rel, rel.arg1_tokens, flat, conll_tokenlist),
-            "Arg2": _span_json(rel, rel.arg2_tokens, flat, conll_tokenlist),
+            "Connective": _span_json(rel, rel.connective_tokens, document, conll_tokenlist),
+            "Arg1": _span_json(rel, rel.arg1_tokens, document, conll_tokenlist),
+            "Arg2": _span_json(rel, rel.arg2_tokens, document, conll_tokenlist),
         }
         lines.append(json.dumps(obj, ensure_ascii=False))
     if not lines:

@@ -18,19 +18,17 @@ NULL_LABEL = "null"
 class ConstituentNode:
     """One node of a constituency tree.
 
-    Terminals carry the token surface as their label; the POS tag is the
-    label of the terminal's parent. parse_ptb fills in children (a tuple,
-    empty on terminals), parents and covered token ranges once; trees are
-    never mutated after that, so they are safe to share between threads.
+    A terminal is a node without children; its label is the token surface
+    and its parent's label the POS tag. parse_ptb fills in children (a tuple),
+    parents and covered token ranges once, refusing childless non-terminals;
+    trees are never mutated after that, so they are safe to share between threads.
     """
 
-    __slots__ = ("label", "children", "is_terminal", "parent",
-                 "token_begin", "token_end")
+    __slots__ = ("label", "children", "parent", "token_begin", "token_end")
 
-    def __init__(self, label, is_terminal=False):
+    def __init__(self, label):
         self.label = label
         self.children = ()
-        self.is_terminal = is_terminal
         self.parent = None
         self.token_begin = -1
         self.token_end = -1
@@ -43,7 +41,7 @@ class ConstituentNode:
             item = stack.pop()
             if isinstance(item, str):
                 parts.append(item)
-            elif item.is_terminal:
+            elif not item.children:
                 parts.append(item.label)
             else:
                 parts.append(f"({item.label} ")
@@ -54,7 +52,7 @@ class ConstituentNode:
         return "".join(parts)
 
     def __repr__(self):
-        kind = "terminal" if self.is_terminal else "node"
+        kind = "node" if self.children else "terminal"
         return f"<{kind} {self.label!r} [{self.token_begin},{self.token_end})>"
 
 
@@ -109,7 +107,7 @@ def _parse_tokens(text, tokens):
                 # Unlabeled wrappers emitted by some parsers become an explicit ROOT.
                 node = ConstituentNode(label or "ROOT")
             else:
-                node = ConstituentNode(value, is_terminal=True)
+                node = ConstituentNode(value)
                 node.token_begin = len(leaves)
                 node.token_end = len(leaves) + 1
                 leaves.append(node)
@@ -177,7 +175,7 @@ def exact_cover_chain(tree, token_range):
     while True:
         # The first child ending after begin is the only one that can cover.
         child = next(child for child in descent[-1].children if child.token_end > begin)
-        if child.is_terminal or child.token_end < end:
+        if not child.children or child.token_end < end:
             break
         descent.append(child)
     chain = []

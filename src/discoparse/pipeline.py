@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .argument_labeler import (NODE_FEATURES, ConstituentLabel, classify_constituents,
                                extract_node_features, gold_constituent_label,
-                               merge_arguments, prune_candidates)
+                               merge_arguments, prune_path)
 from .connective_annotator import (CONNECTIVE_FEATURES, USAGE_NEGATIVE,
                                    USAGE_POSITIVE, classify_usage,
                                    extract_connective_features, find_candidates)
@@ -85,11 +85,11 @@ def _connective_syntax(candidate, sentence):
 
 def _node_candidates(candidate, chain, features):
     """(node, feature dict) for every pruned constituent of a candidate;
-    every node's path feature is read off one root path of the chain."""
+    the nodes and their path features are read off one root path of the chain."""
     path = path_to_root(chain[0])
     top_index = len(chain) - 1
     return [(node, extract_node_features(node, candidate, features, path, top_index))
-            for node in prune_candidates(chain[0])]
+            for node in prune_path(path)]
 
 
 def build_datasets(documents, gold, lexicon):

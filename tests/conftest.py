@@ -40,6 +40,6 @@ def nodes_by_label(tree):
     """label -> list of non-terminal nodes, in document order."""
     table = {}
     for node in walk(tree):
-        if not node.is_terminal:
+        if node.children:
             table.setdefault(node.label, []).append(node)
     return table

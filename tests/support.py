@@ -124,7 +124,7 @@ def walk_exact_cover_chain(tree, token_range):
     """
     begin, end = token_range
     chain = [node for node in walk(tree)
-             if not node.is_terminal
+             if node.children
              and node.token_begin == begin and node.token_end == end]
     if chain:
         chain.reverse()  # walk yields ancestors first
@@ -132,7 +132,7 @@ def walk_exact_cover_chain(tree, token_range):
     node = tree
     while True:
         inner = next((child for child in node.children
-                      if not child.is_terminal
+                      if child.children
                       and child.token_begin <= begin
                       and child.token_end >= end), None)
         if inner is None:
@@ -173,7 +173,7 @@ def bruteforce_prune(root, anchor):
     """
     on_path = {id(n) for n in _climb(anchor)}
     return [n for n in walk(root)
-            if not n.is_terminal
+            if n.children
             and id(n) not in on_path
             and n.parent is not None
             and id(n.parent) in on_path]
@@ -322,15 +322,14 @@ def bruteforce_candidates(document, lexicon):
     count down, and takes the first hit."""
     longest = max((len(key.split(" ")) for key in lexicon.entries), default=0)
     candidates = []
-    for sentence in document.sentences:
+    for sent_index, sentence in enumerate(document.sentences):
         lowered = [token.surface.lower() for token in sentence.tokens]
         i = 0
         while i < len(lowered):
             for length in range(min(longest, len(lowered) - i), 0, -1):
                 key = " ".join(lowered[i:i + length])
                 if key in lexicon.entries:
-                    candidates.append(ConnectiveCandidate(sentence.sent_index, i,
-                                                          i + length, key))
+                    candidates.append(ConnectiveCandidate(sent_index, i, i + length, key))
                     i += length
                     break
             else:

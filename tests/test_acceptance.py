@@ -66,7 +66,7 @@ def test_pruning_oracle():
     for _ in range(200):
         tree = parse_ptb(random_tree_text(rng, max_depth=8, max_branch=4))
         preterminals = [n for n in walk(tree)
-                        if not n.is_terminal and n.children[0].is_terminal]
+                        if n.children and not n.children[0].children]
         anchor = rng.choice(preterminals)
         ours = {id(n) for n in prune_candidates(anchor)}
         oracle = {id(n) for n in bruteforce_prune(tree, anchor)}
@@ -78,7 +78,7 @@ def test_pruning_oracle():
     tree = document.sentences[0].tree
     by_label = {}
     for n in walk(tree):
-        if not n.is_terminal:
+        if n.children:
             by_label.setdefault(n.label, []).append(n)
     wrb = by_label["WRB"][0]
     pruned = prune_candidates(wrb)

@@ -66,7 +66,7 @@ def test_pruning_matches_bruteforce(random_trees):
     rng = random.Random(41)
     for tree in random_trees:
         preterminals = [n for n in walk(tree)
-                        if not n.is_terminal and n.children[0].is_terminal]
+                        if n.children and not n.children[0].children]
         anchor = rng.choice(preterminals)
         pruned = prune_candidates(anchor)
         assert {id(n) for n in pruned} == \
@@ -87,7 +87,7 @@ def test_pruning_order_matches_bruteforce():
     rng = random.Random(20150526)
     for _ in range(200):
         tree = parse_ptb(random_tree_text(rng, max_depth=8, max_branch=4))
-        anchor = rng.choice([n for n in walk(tree) if not n.is_terminal])
+        anchor = rng.choice([n for n in walk(tree) if n.children])
         pruned = prune_candidates(anchor)
         oracle = bruteforce_prune(tree, anchor)
         assert len(pruned) == len(oracle)
@@ -142,7 +142,7 @@ def _random_spans(tree, rng, count):
     """count spans of tree: half the spans of random non-terminal nodes,
     which have exact-cover chains, half random ranges, which mostly cross
     constituents."""
-    nodes = [n for n in walk(tree) if not n.is_terminal]
+    nodes = [n for n in walk(tree) if n.children]
     spans = []
     for _ in range(count // 2):
         node = rng.choice(nodes)

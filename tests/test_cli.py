@@ -616,6 +616,42 @@ def test_input_that_is_not_utf8_exits_2(corpus_on_disk, trained_model_path,
     assert not out.exists()
 
 
+def test_parse_refuses_a_lone_surrogate_in_the_parses_file(corpus_on_disk,
+                                                          trained_model_path,
+                                                          tmp_path, capsys):
+    parses = json.loads((corpus_on_disk / "parses.json").read_text())
+    sentence = parses["fix01"]["sentences"][1]
+    word, = (word for word in sentence["words"] if word[0] == "kept")
+    word[0] = "\ud800"
+    sentence["parsetree"] = sentence["parsetree"].replace("kept", "\ud800")
+    mutated = tmp_path / "parses.json"
+    mutated.write_text(json.dumps(parses), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert _parse(trained_model_path, mutated, corpus_on_disk / "raw", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: parses file '{mutated}' document 'fix01' holds a lone surrogate '\\ud800'"]
+    assert not out.exists()
+
+
+def test_train_refuses_a_lone_surrogate_in_the_relations_file(corpus_on_disk,
+                                                              tmp_path, capsys):
+    lines = (corpus_on_disk / "relations.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["Sense"] = ["\ud800"]
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert main(["train", "--relations", str(gold),
+                 "--parses", str(corpus_on_disk / "parses.json"),
+                 "--raw", str(corpus_on_disk / "raw"),
+                 "--out", str(out), "--min-leaf", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: relations file '{gold}' line 1 holds a lone surrogate '\\ud800'"]
+    assert not out.exists()
+
+
 def test_train_refuses_a_fifo_before_loading(corpus_on_disk, tmp_path,
                                              loading_calls, capsys):
     fifo = tmp_path / "fifo"
@@ -781,7 +817,9 @@ def _mutated_json(draw, document):
     located = {path: _json_at(document, path) for path in _json_paths(document)}
     names = {path[-1] for path in located if isinstance(path[-1], str)}
     names.update(value for value in located.values() if isinstance(value, str))
-    keys = st.sampled_from(sorted(names)) | st.text(max_size=8)
+    # Lone surrogates (category Cs) too: JSON escapes them, and UTF-8 cannot encode them.
+    keys = (st.sampled_from(sorted(names)) | st.text(max_size=8)
+            | st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2))
     values = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | keys,
         lambda inner: st.lists(inner, max_size=3)

@@ -115,12 +115,12 @@ _keys = st.one_of(
 
 def _document(sentences):
     built, doc_index = [], 0
-    for sent_index, surfaces in enumerate(sentences):
+    for surfaces in sentences:
         tokens = []
-        for i, surface in enumerate(surfaces):
-            tokens.append(Token(surface, 0, 0, "NN", doc_index, sent_index, i))
+        for surface in surfaces:
+            tokens.append(Token(surface, 0, 0, "NN", doc_index))
             doc_index += 1
-        built.append(Sentence(tuple(tokens), None, sent_index))
+        built.append(Sentence(tuple(tokens), None))
     return Document("d", tuple(built))
 
 

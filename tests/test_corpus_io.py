@@ -23,7 +23,7 @@ def test_load_reference_document(reference_document):
     assert len(doc.sentences) == 1
     sentence = doc.sentences[0]
     assert len(sentence.tokens) == 11
-    leaves = [n for n in walk(sentence.tree) if n.is_terminal]
+    leaves = [n for n in walk(sentence.tree) if not n.children]
     assert leaves[5].label == "when"
     assert leaves[5].parent.label == "WRB"
     assert sentence.tokens[5].surface == "when"
@@ -71,7 +71,7 @@ def test_token_alignment_exhaustive(corpus_documents):
         doc_indices = [t.doc_index for t in doc.tokens]
         assert doc_indices == list(range(len(doc_indices)))
         for sentence in doc.sentences:
-            leaves = [n for n in walk(sentence.tree) if n.is_terminal]
+            leaves = [n for n in walk(sentence.tree) if not n.children]
             assert len(leaves) == len(sentence.tokens)
 
 
@@ -289,6 +289,34 @@ def test_load_relations_five_tuple_token_list():
     assert rel.arg2_tokens == (9,)
 
 
+@pytest.mark.parametrize("sense, loaded", [
+    ("\ud800", None), ("A\udfffB", None), ("\ud83d\ude00", "\U0001f600"),
+    ("\\ud800", "\\ud800")], ids=["high", "low", "pair", "escaped-backslash"])
+def test_load_relations_refuses_only_lone_surrogates(sense, loaded):
+    line = json.dumps({"DocID": "d", "ID": 0, "Type": "Explicit", "Sense": [sense],
+                       "Connective": {"TokenList": [0]},
+                       "Arg1": {"TokenList": [1]}, "Arg2": {"TokenList": [2]}})
+    data = f"{line}\n{line}\n".encode()
+    if loaded is not None:
+        assert [rel.senses for rel in load_relations(data)] == [(loaded,)] * 2
+        return
+    with pytest.raises(InputFormatError) as excinfo:
+        load_relations(data)
+    assert str(excinfo.value).startswith("relations file line 1 holds a lone surrogate '\\ud")
+
+
+def test_iter_parses_refuses_a_lone_surrogate_when_it_is_reached():
+    entry, raw = build_document_json(["(S (NN dog))"])
+    spoiled = json.loads(json.dumps(entry))
+    spoiled["sentences"][0]["words"][0][1]["Linkers"] = ["\udc00"]
+    parses = json.dumps({"good": entry, "bad": spoiled}).encode()
+    documents = iter_parses(parses, {"good": raw, "bad": raw})
+    assert next(documents).doc_id == "good"
+    with pytest.raises(InputFormatError,
+                       match=r"^parses file document 'bad' holds a lone surrogate '\\udc00'$"):
+        next(documents)
+
+
 def test_load_relations_empty_stream():
     assert load_relations(b"") == []
 
@@ -393,12 +421,21 @@ def test_relations_round_trip_through_unicode_line_ends(doc_ids, senses, conll_t
 
 def test_relations_round_trip_conll_tokenlist(corpus_documents, corpus_gold):
     data = export_relations(corpus_gold, corpus_documents, conll_tokenlist=True)
-    first = json.loads(data.decode().splitlines()[0])
-    entry = first["Connective"]["TokenList"][0]
-    assert len(entry) == 5
-    token = corpus_documents["fix01"].tokens[entry[2]]
-    assert entry == [token.char_begin, token.char_end, token.doc_index,
-                     token.sent_index, token.index_in_sentence]
+    # Document index -> (token, sentence index, index in the sentence), by
+    # enumerating the sentences.
+    positions = {doc_id: [(token, sent, i) for sent, sentence in enumerate(document.sentences)
+                          for i, token in enumerate(sentence.tokens)]
+                 for doc_id, document in corpus_documents.items()}
+    lines = [json.loads(line) for line in data.decode().splitlines()]
+    assert len(lines) == len(corpus_gold)
+    for obj, rel in zip(lines, corpus_gold):
+        for name, indices in (("Connective", rel.connective_tokens),
+                              ("Arg1", rel.arg1_tokens), ("Arg2", rel.arg2_tokens)):
+            expected = [[token.char_begin, token.char_end, index, sent, i]
+                        for index in indices
+                        for token, sent, i in [positions[rel.doc_id][index]]]
+            assert obj[name]["TokenList"] == expected
+    assert any(entry[3] for obj in lines for entry in obj["Arg2"]["TokenList"])
     assert load_relations(data) == corpus_gold
 
 

@@ -17,7 +17,7 @@ def test_reference_tree_structure(reference_tree):
     assert [c.label for c in reference_tree.children] == ["NP", "VP"]
     sbar = nodes_by_label(reference_tree)["SBAR"][0]
     assert [c.label for c in sbar.children] == ["WHADVP", "S"]
-    leaves = [n for n in walk(reference_tree) if n.is_terminal]
+    leaves = [n for n in walk(reference_tree) if not n.children]
     assert len(leaves) == 11
     assert leaves[5].label == "when"
     assert leaves[5].parent.label == "WRB"
@@ -29,7 +29,7 @@ def test_single_token_tree():
     assert len(tree.children) == 1
     pos = tree.children[0]
     assert pos.label == "NN"
-    assert pos.children[0].is_terminal
+    assert not pos.children[0].children
     assert pos.children[0].label == "dog"
     assert (tree.token_begin, tree.token_end) == (0, 1)
 
@@ -137,11 +137,10 @@ def test_node_context_matches_root_down_oracle(random_trees):
             assert node_context(node) == oracle[id(node)]
 
 
-def test_children_are_tuples_and_terminals_have_none(random_trees):
+def test_children_are_tuples(random_trees):
     for tree in random_trees:
         for node in walk(tree):
             assert type(node.children) is tuple
-            assert node.is_terminal == (node.children == ())
 
 
 def test_self_cat_is_ancestor_or_self(random_trees):
@@ -157,7 +156,7 @@ def test_self_cat_is_ancestor_or_self(random_trees):
 def test_covered_tokens_concatenate(random_trees):
     for tree in random_trees[:50]:
         for node in walk(tree):
-            if node.is_terminal:
+            if not node.children:
                 continue
             begin = node.token_begin
             for child in node.children:
@@ -172,7 +171,7 @@ def test_reader_leaves_are_the_terminals_in_order():
     rng = random.Random(23)
     for _ in range(100):
         tree, leaves = _parse_ptb_leaves(random_tree_text(rng))
-        terminals = [n for n in walk(tree) if n.is_terminal]
+        terminals = [n for n in walk(tree) if not n.children]
         assert len(leaves) == len(terminals) == tree.token_end
         assert all(a is b for a, b in zip(leaves, terminals))
         assert [(n.token_begin, n.token_end) for n in leaves] == \
@@ -229,7 +228,7 @@ def test_deeply_nested_bracketing_parses():
     text = _deep_bracketing(DEEP)
     tree = parse_ptb(text)
     assert tree.to_bracketing() == text
-    leaf = next(n for n in walk(tree) if n.is_terminal)
+    leaf = next(n for n in walk(tree) if not n.children)
     assert len(path_to_root(leaf)) == DEEP + 2
     assert (tree.token_begin, tree.token_end) == (0, 1)
     chain = exact_cover_chain(tree, (0, 1))

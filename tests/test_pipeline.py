@@ -107,14 +107,14 @@ def _random_gold(rng, documents):
     sentence, or the tokens before the connective in a first sentence."""
     gold = []
     for document in documents.values():
-        for sentence in document.sentences:
+        for sent_index, sentence in enumerate(document.sentences):
             if rng.random() < 0.35:
                 continue
             size = len(sentence.tokens)
             begin = rng.randrange(size)
             end = min(size, begin + rng.randint(1, 2))
-            if sentence.sent_index:
-                previous = document.sentences[sentence.sent_index - 1]
+            if sent_index:
+                previous = document.sentences[sent_index - 1]
                 arg1 = previous.doc_span(0, len(previous.tokens))
             else:
                 arg1 = sentence.doc_span(0, begin)
@@ -166,15 +166,17 @@ def test_parsed_relations_keep_the_pipeline_invariants(seed):
             # A document's relations do not depend on the documents beside it.
             alone, = load([document.doc_id])
             assert parse_document(alone, model) == found
+            sentence_of = [sent for sent, sentence in enumerate(document.sentences)
+                           for _ in sentence.tokens]
             for rel in found:
                 connective, arg1, arg2 = (set(rel.connective_tokens), set(rel.arg1_tokens),
                                           set(rel.arg2_tokens))
                 assert connective and arg1 and arg2
                 assert connective.isdisjoint(arg1) and connective.isdisjoint(arg2)
                 assert arg1.isdisjoint(arg2)
-                sent, = {document.tokens[i].sent_index for i in connective}
-                assert {document.tokens[i].sent_index for i in arg1} <= {sent - 1, sent}
-                assert {document.tokens[i].sent_index for i in arg2} == {sent}
+                sent, = {sentence_of[i] for i in connective}
+                assert {sentence_of[i] for i in arg1} <= {sent - 1, sent}
+                assert {sentence_of[i] for i in arg2} == {sent}
             relations += found
         exported = export_relations(relations, documents)
         again = [rel for document in documents.values()

@@ -1,19 +1,30 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import discoparse
-from discoparse import find_candidates, parse_document, train_model
+from discoparse import (ConstituentNode, Sentence, Token, find_candidates, parse_document,
+                        train_model)
 from discoparse.argument_labeler import classify_constituents
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _library_use_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_use_names():
     """Names of the one-line `- `name` — ...` entries of the README's
     "Library use" section."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^- `(\w+)` — ", section, flags=re.MULTILINE)
+    return re.findall(r"^- `(\w+)` — ", _library_use_section(), flags=re.MULTILINE)
+
+
+def _listed_fields(name):
+    """The backticked bare names (no methods) of the README entry of name."""
+    entry, = re.findall(rf"^- `{name}` — (.*)$", _library_use_section(), flags=re.MULTILINE)
+    return re.findall(r"`(\w+)`", entry)
 
 
 def test_all_is_the_readme_public_name_list():
@@ -21,6 +32,12 @@ def test_all_is_the_readme_public_name_list():
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(discoparse.__all__) == set(listed)
     assert all(hasattr(discoparse, name) for name in listed)
+
+
+def test_readme_field_lists_are_the_stored_fields():
+    assert _listed_fields("Token") == [field.name for field in dataclasses.fields(Token)]
+    assert _listed_fields("Sentence") == [field.name for field in dataclasses.fields(Sentence)]
+    assert _listed_fields("ConstituentNode") == list(ConstituentNode.__slots__)
 
 
 def _stage_by_stage_example():
