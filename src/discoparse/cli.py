@@ -17,6 +17,20 @@ settings, measured on CPython 3.11 (3.14 makes the collector incremental):
   so the shutdown collection skips the dead trees and the OS reclaims
   their memory. main never freezes, so an in-process caller gets its
   interpreter back as it was.
+
+Process pool. `parse --jobs N` with N > 1 runs the function that N = 1
+runs in process (_export_batch) in N workers forked with the fork start
+method, pinned. They are forked once the model, the raw texts and the
+parses file's text are in memory and the output file is open, so they
+inherit all three, and a batch travels as (doc_id, slice) pairs one way
+and export bytes the other, over one pipe per worker. The parent starts no
+thread, so no fork ever meets a running thread. The parent decodes every
+entry itself, so a malformed entry fails where a serial run would, and
+writes each batch's bytes in file order. Workers keep the default
+collector thresholds and take no part in run's freeze: the parent stops
+them with SIGTERM once it has their last answer, or on any error, so no
+atexit hook or finalizer of the caller runs in them. `multiprocessing` is
+imported only for N > 1.
 """
 
 from __future__ import annotations
@@ -27,9 +41,12 @@ import json
 import logging
 import os
 import sys
+from collections import deque
+from contextlib import contextmanager
+from itertools import cycle, islice
 
-from .corpus_io import (_read_text, atomic_output, export_relations, iter_parses,
-                        load_parses, load_relations)
+from .corpus_io import (_build_document, _decode_entries, _read_text, atomic_output,
+                        export_relations, load_parses, load_relations)
 from .decision_tree import tree_size, tree_support
 from .errors import DiscoParseError, InputFormatError
 from .evaluation import format_table, report_dict, score
@@ -38,6 +55,10 @@ from .pipeline import load_model, parse_document, save_model, train_model
 LOG_LEVELS = ("debug", "info", "warning", "error")
 # Collector thresholds while train loads the corpus and trains on it.
 _TRAIN_GC_THRESHOLD = (20000, 10, 10)
+# Characters of parses-file JSON text in one batch of documents (about 64 KiB).
+_BATCH_CHARS = 1 << 16
+# Batches sent to pool workers and not yet answered, at most, per worker.
+_BATCHES_AHEAD_PER_JOB = 4
 # Every character str.splitlines breaks at, escaped, so an error stays one line.
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
@@ -50,6 +71,15 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _default_jobs():
+    """Usable CPUs, or 1 where the fork start method does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser():
@@ -76,6 +106,9 @@ def _build_parser():
     parse_p.add_argument("--conll-tokenlist", action="store_true",
                          help="emit 5-tuple TokenList entries for strict "
                               "shared-task compatibility")
+    parse_p.add_argument("--jobs", type=_positive_int,
+                         help="worker processes (default: usable CPUs; 1 where "
+                              "the fork start method does not exist)")
     parse_p.set_defaults(func=cmd_parse)
 
     score_p = sub.add_parser("score", help="score predicted relations against gold")
@@ -134,22 +167,150 @@ def cmd_train(args):
     return 0
 
 
-def cmd_parse(args):
-    """Parse, export and drop one document at a time, in parses-file order.
+def _batches(entries):
+    """Lists of (doc_id, slice of text) pairs of consecutive _decode_entries
+    entries, each ending with the entry that brings its JSON text to
+    _BATCH_CHARS. A decode error is raised once the list of the entries
+    before it has been yielded."""
+    batch, size = [], 0
+    try:
+        for doc_id, _, span in entries:
+            batch.append((doc_id, span))
+            size += span.stop - span.start
+            if size >= _BATCH_CHARS:
+                yield batch
+                batch, size = [], 0
+    except InputFormatError:
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
 
-    The output file appears, whole, only if every document succeeds.
+
+def _export_batch(batch, model, raw, conll_tokenlist):
+    """(export_relations bytes, relation count) of a batch of decoded
+    entries: each document is built, parsed, exported and dropped in turn."""
+    chunks = []
+    count = 0
+    for doc_id, entry in batch:
+        doc = _build_document(doc_id, entry, raw)
+        relations = parse_document(doc, model)
+        chunks.append(export_relations(relations, {doc_id: doc},
+                                       conll_tokenlist=conll_tokenlist))
+        count += len(relations)
+    return b"".join(chunks), count
+
+
+def _serve(conn, text, context):
+    """A pool worker: for each batch of (doc_id, slice of text) pairs that
+    conn receives, send back (True, _export_batch's result) or (False, the
+    error), in the order received. Returns at end of file, which it reads
+    only if the parent is gone; the parent otherwise stops it."""
+    while True:
+        try:
+            batch = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, _export_batch(
+                [(doc_id, json.loads(text[span])) for doc_id, span in batch], *context)
+        except Exception as exc:
+            reply = False, exc
+        conn.send(reply)
+
+
+@contextmanager
+def _worker_pool(jobs, text, context):
+    """None for one job, else connections to jobs forked workers (_serve)
+    that hold text and context; on exit the workers are killed and reaped."""
+    if jobs == 1:
+        yield None
+        return
+    import multiprocessing
+    import signal
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    # Workers inherit the blocked SIGINT, so Ctrl-C reaches the parent alone,
+    # and never between a fork and the append that puts the worker in reach
+    # of the finally clause. Should a second Ctrl-C cut that clause short,
+    # multiprocessing stops daemon workers at interpreter exit.
+    unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        for _ in range(jobs):
+            ours, theirs = fork.Pipe()
+            process = fork.Process(target=_serve, args=(theirs, text, context), daemon=True)
+            process.start()
+            workers.append((process, ours))
+            theirs.close()  # so that a worker's death reads as EOF
+        signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+        yield [conn for _, conn in workers]
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+        for process, _ in workers:
+            process.terminate()
+        for process, conn in workers:
+            process.join()
+            conn.close()
+
+
+def _answer(conn):
+    ok, value = conn.recv()
+    if not ok:
+        raise value
+    return value
+
+
+def _pooled_exports(conns, batches, ahead):
+    """_export_batch's result for each batch, in order: batch i goes to the
+    worker behind conns[i % len(conns)], which answers in the order it is
+    sent batches, and at most ahead batches are unanswered at once."""
+    workers = cycle(conns)
+    pending = deque()  # the connection of each unanswered batch, in order
+    try:
+        while True:
+            try:
+                for batch in islice(batches, ahead - len(pending)):
+                    conn = next(workers)
+                    conn.send(batch)
+                    pending.append(conn)
+            except InputFormatError:
+                for conn in pending:  # a document before the malformed entry fails first
+                    _answer(conn)
+                raise
+            if not pending:
+                return
+            yield _answer(pending.popleft())
+    except (EOFError, OSError) as exc:
+        raise DiscoParseError("a parse worker ended abruptly") from exc
+
+
+def cmd_parse(args):
+    """Parse and export every document in parses-file order: one at a time
+    in process (--jobs 1), or in batches on a pool of forked workers.
+
+    The output file appears, whole, only if every document succeeds, and
+    the first failing document in file order decides the error.
     """
     model = load_model(args.model)
     raw = _read_raw_dir(args.raw)
-    with open(args.parses, "rb") as handle:
-        documents = iter_parses(handle, raw)
+    jobs = args.jobs or _default_jobs()
+    context = (model, raw, args.conll_tokenlist)
     count = 0
     with atomic_output(args.out) as out:
-        for doc in documents:
-            relations = parse_document(doc, model)
-            out.write(export_relations(relations, {doc.doc_id: doc},
-                                       conll_tokenlist=args.conll_tokenlist))
-            count += len(relations)
+        with open(args.parses, "rb") as handle:
+            text, name, gate = _read_text(handle, "parses file")
+        entries = _decode_entries(text, name, gate)
+        with _worker_pool(jobs, text, context) as conns:
+            if conns is None:
+                exports = (_export_batch([(doc_id, entry)], *context)
+                           for doc_id, entry, _ in entries)
+            else:
+                exports = _pooled_exports(conns, _batches(entries),
+                                          _BATCHES_AHEAD_PER_JOB * jobs)
+            for data, relations in exports:
+                out.write(data)
+                count += relations
     print(f"{count} relations written to {args.out}", file=sys.stderr)
     return 0
 
@@ -169,6 +330,8 @@ def cmd_score(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", None) and args.jobs > 1 and not hasattr(os, "fork"):
+        parser.error("--jobs above 1 needs the fork start method")
     _configure_logging(args)
     try:
         return args.func(args)

@@ -32,9 +32,11 @@ PTB_ESCAPES = {"-LRB-": "(", "-RRB-": ")", "-LCB-": "{", "-RCB-": "}"}
 # The whitespace JSON allows between tokens (str.isspace is wider).
 _JSON_WHITESPACE = re.compile(r"[ \t\n\r]*")
 # Text decoded from UTF-8 holds no surrogate, so JSON text without one of
-# these escapes decodes to none; one scan of it gates the full check.
+# these escapes decodes to none; one scan of it gates the full check. A str
+# argument may hold surrogate code points itself, so its gate finds both.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_OR_ESCAPE = re.compile(f"{_SURROGATE.pattern}|{_SURROGATE_ESCAPE.pattern}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,18 +86,19 @@ class DiscourseRelation:
 
 
 def _read_text(source, kind):
-    """(text, name) of a binary handle, bytes or str: name, for errors, is
-    kind with the handle's file name."""
+    """(text, name, gate) of a binary handle, bytes or str: name, for
+    errors, is kind with the handle's file name, and JSON text that gate
+    does not match decodes to no lone surrogate."""
     if hasattr(source, "read"):
         if hasattr(source, "name"):
             kind = f"{kind} '{source.name}'"
         source = source.read()
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8"), kind
+            return source.decode("utf-8"), kind, _SURROGATE_ESCAPE
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{kind} is not UTF-8: {exc}") from exc
-    return source, kind
+    return source, kind, _SURROGATE_OR_ESCAPE
 
 
 def _check_surrogates(value, where):
@@ -136,17 +139,19 @@ def iter_parses(parses_json, raw_texts):
     first = next(entries, None)
     if first is None:
         return iter(())
-    return _build_documents(chain((first,), entries), raw_texts)
+    return (_build_document(doc_id, entry, raw_texts)
+            for doc_id, entry, _ in chain((first,), entries))
 
 
-def _decode_entries(text, name):
-    """(doc_id, decoded entry) for each member of the parses JSON object,
-    in file order, decoding one member per step; malformed JSON, a repeated
-    doc_id or a lone surrogate raises InputFormatError from the step that
-    meets it. name names the file in the surrogate error."""
+def _decode_entries(text, name, gate):
+    """(doc_id, decoded entry, slice of text holding the entry) for each
+    member of the parses JSON object, in file order, decoding one member
+    per step; malformed JSON, a repeated doc_id or a lone surrogate raises
+    InputFormatError from the step that meets it. name and gate are as
+    _read_text gives them."""
     if not text.strip():
         return
-    surrogates = _SURROGATE_ESCAPE.search(text)
+    surrogates = gate.search(text)
     skip = _JSON_WHITESPACE.match
     decode = json.JSONDecoder().raw_decode
     index = skip(text).end()
@@ -167,10 +172,11 @@ def _decode_entries(text, name):
             index = skip(text, end).end()
             if not text.startswith(":", index):
                 raise json.JSONDecodeError("Expecting ':' delimiter", text, index)
-            entry, end = decode(text, skip(text, index + 1).end())
+            begin = skip(text, index + 1).end()
+            entry, end = decode(text, begin)
             if surrogates:
                 _check_surrogates([doc_id, entry], f"{name} document {doc_id!r}")
-            yield doc_id, entry
+            yield doc_id, entry, slice(begin, end)
             index = skip(text, end).end()
             more = text.startswith(",", index)
             if more:
@@ -184,19 +190,17 @@ def _decode_entries(text, name):
         raise InputFormatError(f"malformed parses JSON: {exc}") from exc
 
 
-def _build_documents(entries, raw_texts):
-    for doc_id, doc_data in entries:
-        if doc_id not in raw_texts:
-            raise MissingDocumentError(f"no raw text for document '{doc_id}'")
-        yield _build_document(doc_id, doc_data, len(raw_texts[doc_id]))
-
-
 def load_parses(parses_json, raw_texts):
     """Every Document of iter_parses, as a list."""
     return list(iter_parses(parses_json, raw_texts))
 
 
-def _build_document(doc_id, doc_data, text_length):
+def _build_document(doc_id, doc_data, raw_texts):
+    """The Document of one decoded parses-file entry; raw_texts maps
+    doc_id -> raw text, which the entry's character offsets must fit."""
+    if doc_id not in raw_texts:
+        raise MissingDocumentError(f"no raw text for document '{doc_id}'")
+    text_length = len(raw_texts[doc_id])
     if not isinstance(doc_data, dict) or not isinstance(doc_data.get("sentences"), list):
         raise InputFormatError(f"document '{doc_id}': missing 'sentences' array")
     sentences = []
@@ -267,8 +271,8 @@ def load_relations(relations_jsonl):
     TokenList entries may be plain document-level indices or the 5-tuple
     form; either way only the document-level index is kept.
     """
-    text, name = _read_text(relations_jsonl, "relations file")
-    surrogates = _SURROGATE_ESCAPE.search(text)
+    text, name, gate = _read_text(relations_jsonl, "relations file")
+    surrogates = gate.search(text)
     relations = []
     # "\n" only: str.splitlines also breaks at U+2028, U+2029 and U+0085 inside strings.
     for line_number, line in enumerate(text.split("\n"), start=1):

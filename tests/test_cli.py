@@ -2,8 +2,11 @@ import copy
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
+import pickle
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -17,6 +20,7 @@ import discoparse
 from discoparse import (export_relations, load_model, load_parses,
                         load_relations, parse_document)
 import discoparse.cli
+import discoparse.errors
 from discoparse.cli import main
 
 import fixture_corpus
@@ -757,7 +761,7 @@ def test_parse_holds_one_document_at_a_time(corpus_on_disk,
 
     monkeypatch.setattr(discoparse.cli, "parse_document", tracking)
     assert _parse(trained_model_path, corpus_on_disk / "parses.json",
-                  corpus_on_disk / "raw", tmp_path / "out.jsonl") == 0
+                  corpus_on_disk / "raw", tmp_path / "out.jsonl", "--jobs", "1") == 0
     assert len(seen) == 5
 
 
@@ -770,23 +774,190 @@ def _lines_by_document(data):
 
 @settings(max_examples=15, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(order=st.permutations(["fix01", "fix02", "fix03", "fix04", "fix05"]))
+@given(order=st.permutations(["fix01", "fix02", "fix03", "fix04", "fix05"]),
+       batch_chars=st.sampled_from([1, 3000, discoparse.cli._BATCH_CHARS]),
+       ahead=st.sampled_from([1, discoparse.cli._BATCHES_AHEAD_PER_JOB]))
 def test_permuted_documents_give_permuted_lines(corpus_on_disk,
                                                 trained_model_path, tmp_path,
-                                                order):
+                                                order, batch_chars, ahead):
+    """At every jobs count, batch size and pool window, plain and with
+    --conll-tokenlist, each document's lines are those of a serial run."""
     parses = json.loads((corpus_on_disk / "parses.json").read_text())
     assert sorted(parses) == sorted(order)
-    reference = tmp_path / "reference.jsonl"
-    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
-                  corpus_on_disk / "raw", reference) == 0
-    blocks = _lines_by_document(reference.read_bytes())
     permuted = tmp_path / "permuted.json"
     permuted.write_text(json.dumps({doc_id: parses[doc_id] for doc_id in order}),
                         encoding="utf-8")
-    out = tmp_path / "permuted.jsonl"
-    assert _parse(trained_model_path, permuted, corpus_on_disk / "raw", out) == 0
-    expected = "".join(line for doc_id in order for line in blocks.get(doc_id, []))
-    assert out.read_bytes() == expected.encode("utf-8")
+    for extra in ([], ["--conll-tokenlist"]):
+        reference = tmp_path / "reference.jsonl"
+        assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                      corpus_on_disk / "raw", reference, "--jobs", "1", *extra) == 0
+        blocks = _lines_by_document(reference.read_bytes())
+        expected = "".join(line for doc_id in order for line in blocks.get(doc_id, []))
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"permuted-{jobs}.jsonl"
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(discoparse.cli, "_BATCH_CHARS", batch_chars)
+                patch.setattr(discoparse.cli, "_BATCHES_AHEAD_PER_JOB", ahead)
+                assert _parse(trained_model_path, permuted, corpus_on_disk / "raw",
+                              out, "--jobs", jobs, *extra) == 0
+            assert out.read_bytes() == expected.encode("utf-8")
+
+
+def _spoiled_parses(corpus_on_disk, path, broken):
+    """The fixture parses file, written to path, with the tree of document 2
+    unbalanced ("tree-2") and the entry of document 4 not JSON ("json-4")."""
+    parses = json.loads((corpus_on_disk / "parses.json").read_text())
+    second, fourth = list(parses)[1], list(parses)[3]
+    if "tree-2" in broken:
+        parses[second]["sentences"][0]["parsetree"] = "(S (NN"
+    text = json.dumps(parses)
+    if "json-4" in broken:
+        entry = json.dumps(parses[fourth])
+        assert text.count(entry) == 1
+        text = text.replace(entry, '{"sentences": [}')
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("batch_chars", [1, discoparse.cli._BATCH_CHARS],
+                         ids=["batch-per-document", "one-batch"])
+@pytest.mark.parametrize("broken", ["tree-2", "json-4", "tree-2+json-4"])
+def test_a_mid_stream_error_is_the_same_at_every_jobs_count(
+        corpus_on_disk, trained_model_path, tmp_path, capsys, monkeypatch,
+        broken, batch_chars):
+    """A worker-side error (a bad tree) and a parent-side one (bad JSON),
+    and the two together: the first failing document in file order decides
+    the message and exit code at every jobs count, and no output or
+    worker is left."""
+    monkeypatch.setattr(discoparse.cli, "_BATCH_CHARS", batch_chars)
+    parses = tmp_path / "parses.json"
+    _spoiled_parses(corpus_on_disk, parses, broken)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    outcomes = []
+    for jobs in ("1", "2", "3"):
+        capsys.readouterr()
+        code = _parse(trained_model_path, parses, corpus_on_disk / "raw",
+                      out_dir / "relations.jsonl", "--jobs", jobs)
+        outcomes.append((code, capsys.readouterr().err.splitlines()))
+        assert os.listdir(out_dir) == []
+        assert multiprocessing.active_children() == []
+    assert outcomes == [outcomes[0]] * 3
+    code, (error,) = outcomes[0]
+    assert code == 2
+    if broken == "json-4":
+        assert error.startswith("error: malformed parses JSON: Expecting value")
+    else:
+        assert error.startswith("error: document 'fix02' sentence 0: ")
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["exit-0", "exit-2"])
+def test_no_pool_worker_outlives_parse(corpus_on_disk, trained_model_path,
+                                       tmp_path, broken):
+    parses = corpus_on_disk / "parses.json"
+    if broken:
+        parses = tmp_path / "parses.json"
+        _spoiled_parses(corpus_on_disk, parses, "tree-2")
+    code = _parse(trained_model_path, parses, corpus_on_disk / "raw",
+                  tmp_path / "out.jsonl", "--jobs", "2")
+    assert code == (2 if broken else 0)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_ends_parse_with_exit_1(corpus_on_disk, trained_model_path,
+                                                   tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def dying(document, model):
+        assert os.getpid() != parent
+        os.kill(os.getpid(), signal.SIGKILL)
+    monkeypatch.setattr(discoparse.cli, "parse_document", dying)
+    capsys.readouterr()
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", tmp_path / "out.jsonl", "--jobs", "2") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: a parse worker ended abruptly"]
+    assert os.listdir(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_leave_ctrl_c_to_the_parent(corpus_on_disk, trained_model_path,
+                                                 tmp_path, monkeypatch):
+    real = discoparse.cli.parse_document
+
+    def checking(document, model):
+        if signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, []):
+            raise discoparse.errors.DiscoParseError("SIGINT reaches a worker")
+        return real(document, model)
+    monkeypatch.setattr(discoparse.cli, "parse_document", checking)
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", tmp_path / "out.jsonl", "--jobs", "2") == 0
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == blocked
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_must_be_a_positive_integer(corpus_on_disk, trained_model_path,
+                                         tmp_path, jobs):
+    with pytest.raises(SystemExit) as excinfo:
+        _parse(trained_model_path, corpus_on_disk / "parses.json",
+               corpus_on_disk / "raw", tmp_path / "out.jsonl", "--jobs", jobs)
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_without_fork_parse_runs_serially(corpus_on_disk, trained_model_path,
+                                          tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    out = tmp_path / "out.jsonl"
+    assert _parse(trained_model_path, corpus_on_disk / "parses.json",
+                  corpus_on_disk / "raw", out) == 0
+    assert out.read_bytes()
+    with pytest.raises(SystemExit) as excinfo:
+        _parse(trained_model_path, corpus_on_disk / "parses.json",
+               corpus_on_disk / "raw", out, "--jobs", "2")
+    assert excinfo.value.code == 2
+    assert "--jobs above 1 needs the fork start method" in capsys.readouterr().err
+
+
+def test_only_parse_with_more_than_one_job_imports_multiprocessing(
+        corpus_on_disk, trained_model_path, tmp_path):
+    script = """if True:
+        import sys
+        from discoparse.cli import main
+        inputs = ["--parses", sys.argv[1], "--raw", sys.argv[2]]
+        imported = []
+        for argv in (["train", "--relations", sys.argv[3], "--out", sys.argv[4]],
+                     ["parse", "--model", sys.argv[4], "--out", sys.argv[5], "--jobs", "1"],
+                     ["parse", "--model", sys.argv[4], "--out", sys.argv[5], "--jobs", "2"]):
+            assert main(argv + inputs) == 0
+            imported.append("multiprocessing" in sys.modules)
+        print(imported)
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(corpus_on_disk / "parses.json"),
+         str(corpus_on_disk / "raw"), str(corpus_on_disk / "relations.jsonl"),
+         str(tmp_path / "model.json"), str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(discoparse.__file__))})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[False,", "False,", "True]"]
+
+
+def _subclasses(cls):
+    return [cls] + [sub for direct in cls.__subclasses__() for sub in _subclasses(direct)]
+
+
+@pytest.mark.parametrize("cls", _subclasses(discoparse.errors.DiscoParseError),
+                         ids=lambda cls: cls.__name__)
+def test_errors_survive_a_pickle_round_trip(cls):
+    """A pool worker's error reaches the parent pickled."""
+    error = (cls("unbalanced", 7) if cls is discoparse.errors.TreeParseError
+             else cls("document 'd': bad"))
+    copied = pickle.loads(pickle.dumps(error))
+    assert type(copied) is cls
+    assert str(copied) == str(error) and copied.args == error.args
+    assert vars(copied) == vars(error)
+    if cls is discoparse.errors.TreeParseError:
+        assert copied.position == 7 and str(copied) == "unbalanced (at character 7)"
 
 
 def _json_paths(value, path=()):

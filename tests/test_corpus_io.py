@@ -317,6 +317,20 @@ def test_iter_parses_refuses_a_lone_surrogate_when_it_is_reached():
         next(documents)
 
 
+def test_str_input_holding_a_surrogate_code_point_is_refused():
+    relation = {"DocID": "d", "ID": 0, "Type": "Explicit", "Sense": ["\ud800"],
+                "Connective": {"TokenList": [0]},
+                "Arg1": {"TokenList": [1]}, "Arg2": {"TokenList": [2]}}
+    with pytest.raises(InputFormatError,
+                       match=r"^relations file line 1 holds a lone surrogate '\\ud800'$"):
+        load_relations(json.dumps(relation, ensure_ascii=False))
+    entry, raw = build_document_json(["(S (NN dog))"])
+    entry["sentences"][0]["words"][0][0] = "\ud800"
+    with pytest.raises(InputFormatError,
+                       match=r"^parses file document 'd' holds a lone surrogate '\\ud800'$"):
+        iter_parses(json.dumps({"d": entry}, ensure_ascii=False), {"d": raw})
+
+
 def test_load_relations_empty_stream():
     assert load_relations(b"") == []
 

@@ -3,13 +3,16 @@ import logging
 import os
 import random
 import stat
+import tempfile
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discoparse.cli
 import discoparse.pipeline
 
 from discoparse import (DiscourseRelation, annotate_sense, exact_cover_chain,
@@ -142,13 +145,18 @@ def _random_models(rng, documents, gold):
     return models
 
 
+def _random_entries(rng):
+    """doc_id -> (parses-file entry, raw text) of two to four random documents."""
+    return {f"d{i}": build_document_json([random_tree_text(rng, max_depth=5)
+                                          for _ in range(rng.randint(1, 4))])
+            for i in range(rng.randint(2, 4))}
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_parsed_relations_keep_the_pipeline_invariants(seed):
     rng = random.Random(seed)
-    entries = {f"d{i}": build_document_json([random_tree_text(rng, max_depth=5)
-                                             for _ in range(rng.randint(1, 4))])
-               for i in range(rng.randint(2, 4))}
+    entries = _random_entries(rng)
 
     def load(doc_ids):
         parses = json.dumps({doc_id: entries[doc_id][0] for doc_id in doc_ids})
@@ -182,6 +190,39 @@ def test_parsed_relations_keep_the_pipeline_invariants(seed):
         again = [rel for document in documents.values()
                  for rel in parse_document(document, model)]
         assert export_relations(again, documents) == exported
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), batch_chars=st.integers(1, 3000))
+def test_cli_parse_writes_the_library_bytes_at_every_jobs_count(seed, batch_chars):
+    rng = random.Random(seed)
+    entries = _random_entries(rng)
+    parses = json.dumps({doc_id: entry for doc_id, (entry, _) in entries.items()})
+    raw = {doc_id: text for doc_id, (_, text) in entries.items()}
+    documents = {document.doc_id: document for document in load_parses(parses.encode(), raw)}
+    gold = _random_gold(rng, documents)
+    if not gold:
+        return
+    model = rng.choice(_random_models(rng, documents, gold))
+    relations = [rel for document in documents.values()
+                 for rel in parse_document(document, model)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "parses.json").write_text(parses, encoding="utf-8")
+        (root / "raw").mkdir()
+        for doc_id, text in raw.items():
+            (root / "raw" / doc_id).write_text(text, encoding="utf-8")
+        save_model(model, str(root / "model.json"))
+        for extra in ([], ["--conll-tokenlist"]):
+            expected = export_relations(relations, documents, conll_tokenlist=bool(extra))
+            for jobs in ("1", "2", "3"):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(discoparse.cli, "_BATCH_CHARS", batch_chars)
+                    assert discoparse.cli.main([
+                        "parse", "--model", str(root / "model.json"),
+                        "--parses", str(root / "parses.json"), "--raw", str(root / "raw"),
+                        "--out", str(root / "out.jsonl"), "--jobs", jobs, *extra]) == 0
+                assert (root / "out.jsonl").read_bytes() == expected
 
 
 def test_empty_gold_is_a_training_error(corpus_documents):
